@@ -323,6 +323,20 @@ func BenchmarkRunFastInternetScale100M(b *testing.B) {
 	benchRunFastInternetScale(b, 100_000_000, 10_000_000)
 }
 
+// BenchmarkProxGraphNew prices proxgraph.New on its own: the same
+// 100k-node, Degree-8, 1000-sensor world every iteration (seed 1, nothing
+// derived from i), so ns/op is one world build. It rides in the
+// millisecond-scale snapshot leg next to BenchmarkRunFastProxGraph,
+// which keeps construction outside its timed region.
+func BenchmarkProxGraphNew(b *testing.B) {
+	cfg := proxgraph.Config{Nodes: 100_000, Degree: 8, Sensors: 1000, Seed: 1}
+	for i := 0; i < b.N; i++ {
+		if _, err := proxgraph.New(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRunFastProxGraph drives a neighbor-graph outbreak over a
 // 100k-node mutual-kNN world to half prevalence. World construction sits
 // outside the timed region; the measured run is the graph fast driver's

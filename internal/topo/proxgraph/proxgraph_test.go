@@ -1,6 +1,11 @@
 package proxgraph
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/topo"
@@ -122,6 +127,34 @@ func TestConfigRejection(t *testing.T) {
 			t.Errorf("config %+v accepted, want error", cfg)
 		}
 	}
+
+	// Nodes·min(Degree, Nodes-1) past math.MaxInt32 would wrap the int32
+	// ids and offsets; New must refuse before allocating anything sized
+	// by the config (the first row alone would be 16 GiB of rows).
+	huge := []Config{
+		{Nodes: 1 << 20, Degree: 1 << 12},
+		{Nodes: 1 << 31, Degree: 1},
+		{Nodes: 1 << 40, Degree: 8},
+		{Nodes: math.MaxInt, Degree: math.MaxInt},
+		{Nodes: 1 << 16, Degree: 1 << 20, Radius: 0.5},
+	}
+	for _, cfg := range huge {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := New(cfg)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("config %+v accepted, want int32-ceiling error", cfg)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Errorf("config %+v allocated %d bytes before rejecting", cfg, grew)
+		}
+	}
+	// The ceiling counts the stride, not Degree: a Degree far above
+	// Nodes-1 is still a valid (if over-asked) world.
+	if _, err := New(Config{Nodes: 64, Degree: math.MaxInt32, Seed: 1}); err != nil {
+		t.Errorf("Degree above Nodes-1 rejected: %v", err)
+	}
 }
 
 func TestPositionsInUnitSquare(t *testing.T) {
@@ -130,6 +163,65 @@ func TestPositionsInUnitSquare(t *testing.T) {
 		x, y := w.Pos(i)
 		if x < 0 || x >= 1 || y < 0 || y >= 1 {
 			t.Fatalf("node %d at (%v, %v) outside unit square", i, x, y)
+		}
+	}
+}
+
+// worldHash is the SHA-256 of every observable of a world, node by node
+// in id order: degree, adjacency, sensor flag, and the bits of the
+// position.
+func worldHash(w *World) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for i := 0; i < w.Nodes(); i++ {
+		put(uint64(w.Degree(i)))
+		for _, j := range w.Neighbors(i) {
+			put(uint64(j))
+		}
+		if w.IsSensor(i) {
+			put(1)
+		} else {
+			put(0)
+		}
+		x, y := w.Pos(i)
+		put(math.Float64bits(x))
+		put(math.Float64bits(y))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestWorldGoldenBytes pins the exact worlds New builds. The hashes were
+// captured before the cell-order rewrite of link, so any change to
+// placement, candidate ranking, mutual pruning or sensor choice fails
+// here. The configs cover the default radius, the gw = 4096 grid cap
+// (mostly isolated nodes), a single-cell grid (Radius ≥ √2, every node a
+// candidate), Degree above the candidate count, and the two-node floor.
+//
+// If a future change alters worlds ON PURPOSE, re-pin by running with
+// -run TestWorldGoldenBytes -v and copying the printed hashes.
+func TestWorldGoldenBytes(t *testing.T) {
+	cases := []struct {
+		name  string
+		cfg   Config
+		edges int
+		want  string
+	}{
+		{"default-radius", Config{Nodes: 20_000, Degree: 8, Sensors: 200, Seed: 1}, 67787, "4cb2f6c8409614f5903a0a350f166fe5f7c47c6a33896583ff47a736768c6582"},
+		{"grid-cap", Config{Nodes: 100_000, Degree: 4, Radius: 2.4e-4, Sensors: 50, Seed: 2}, 951, "1b9e702d42957214fab033b5f2bba49dd53379b09226230120f758e77f8b5195"},
+		{"single-cell", Config{Nodes: 300, Degree: 6, Radius: 1.5, Sensors: 10, Seed: 3}, 740, "6617b8eebdff60c8f5559ae16d8d9cb3aed2ddfab1b505c94971e926dc59f013"},
+		{"degree-over-candidates", Config{Nodes: 50, Degree: 60, Sensors: 5, Seed: 4}, 1224, "5d521c81274d254c671181275ad87eb9a51c5bd97772cbd5c7bf34254d8ae061"},
+		{"two-nodes", Config{Nodes: 2, Degree: 1, Seed: 5}, 1, "0c57067a38b2d41cc6dd2512727f5725b63874b07471d9a80bd6a8116095e321"},
+	}
+	for _, tc := range cases {
+		w := mustWorld(t, tc.cfg)
+		got := worldHash(w)
+		t.Logf("%s: edges %d hash %s", tc.name, w.Edges(), got)
+		if w.Edges() != tc.edges || got != tc.want {
+			t.Errorf("%s: edges %d hash %s, want edges %d hash %s", tc.name, w.Edges(), got, tc.edges, tc.want)
 		}
 	}
 }

@@ -15,7 +15,8 @@ cd "$(dirname "$0")/.."
 # Trace, and Parallel variants, so the snapshot records each worker pool's
 # overhead or speedup next to its serial baseline on every host. The
 # internet-scale leg records the §14 scale contract (10⁷/10⁸-host CodeRedII
-# outbreaks under the fast driver).
+# outbreaks under the fast driver). BenchmarkProxGraphNew prices world
+# construction next to BenchmarkRunFastProxGraph, which excludes it.
 date="$(date -u +%F)"
 out="BENCH_${date}.json"
 
@@ -31,7 +32,7 @@ else
   # single-shot — one 10⁸-host outbreak is minutes of signal on its own.
   {
     go test -run '^$' -benchmem -count "${COUNT:-1}" . \
-      -bench 'BenchmarkRun(Exact|Fast)CodeRedII|BenchmarkFleetObserve|BenchmarkSweepResume|BenchmarkRunFastProxGraph' \
+      -bench 'BenchmarkRun(Exact|Fast)CodeRedII|BenchmarkFleetObserve|BenchmarkSweepResume|BenchmarkRunFastProxGraph|BenchmarkProxGraphNew' \
       -benchtime "${BENCHTIME:-3x}"
     go test -run '^$' -benchmem -count 1 . \
       -bench 'BenchmarkRunFastInternetScale' -benchtime 1x
