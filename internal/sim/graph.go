@@ -224,6 +224,18 @@ func runExactGraph(cfg ExactConfig, g topo.Graph) (*Result, error) {
 // count, tick skipping, and trace attachment never change output.
 // Unlike IPv4 fast aggregation, the draws here know their infector, so
 // trace edges carry true provenance.
+//
+// The agent list holds only nodes that can still draw. A node's thinned
+// rate is proportional to liveNbrs+sensNbrs; liveNbrs never rises (it
+// falls as neighbors are infected) and sensNbrs is fixed, so once the
+// sum reaches zero the node is burnt out for the rest of the run. Each
+// tick's serial pass compacts such nodes out of the list in place, in
+// infection order, while it sums the kept rates. Retiring them is
+// byte-identical to visiting them: a zero-rate node consumes no RNG,
+// its rate term was an exact +0.0 in the same-order float sum, and the
+// merge order of the remaining agents is unchanged. Burnt-out nodes
+// still emit their perHost probes into the tick's probe total, which
+// counts every infected node of degree > 0 (probing), not the list.
 func runFastGraph(cfg FastConfig, g topo.Graph) (*Result, error) {
 	if err := cfg.validateGraph(g); err != nil {
 		return nil, err
@@ -253,13 +265,19 @@ func runFastGraph(cfg FastConfig, g topo.Graph) (*Result, error) {
 			}
 		}
 	}
+	// agents lists the infected nodes that may still draw, in infection
+	// order; probing counts every infected node of degree > 0, burnt-out
+	// or not, since each still emits its probes.
 	var agents []int32
-	total := 0
+	total, probing := 0, 0
 	infect := func(id int32, t float64) {
 		infected[id] = true
 		infTime[id] = t
 		total++
-		agents = append(agents, id)
+		if g.Degree(int(id)) > 0 {
+			probing++
+			agents = append(agents, id)
+		}
 		for _, u := range g.Neighbors(int(id)) {
 			liveNbrs[u]--
 		}
@@ -341,20 +359,22 @@ func runFastGraph(cfg FastConfig, g topo.Graph) (*Result, error) {
 		t := float64(step) * cfg.TickSeconds
 		cfg.Clock.Set(t)
 
-		// Serial pass over the tick-start agent list: the skip gate and
-		// the emitted-probe total. Agents are visited in infection
-		// order, so the float sum's order is fixed.
-		nAgents := len(agents)
+		// Serial pass over the tick-start agent list: retire burnt-out
+		// agents in place and sum the kept rates for the skip gate.
+		// Agents are visited in infection order, so the float sum's
+		// order is fixed.
+		kept := agents[:0]
 		lamTotal := 0.0
-		probing := 0
-		for _, id := range agents[:nAgents] {
-			deg := g.Degree(int(id))
-			if deg == 0 {
+		for _, id := range agents {
+			rate := liveNbrs[id] + sensNbrs[id]
+			if rate == 0 {
 				continue
 			}
-			probing++
-			lamTotal += perHost * float64(liveNbrs[id]+sensNbrs[id]) / float64(deg)
+			kept = append(kept, id)
+			lamTotal += perHost * float64(rate) / float64(g.Degree(int(id)))
 		}
+		agents = kept
+		nAgents := len(agents)
 		probesTotal := perHost * float64(probing)
 
 		var newInf int

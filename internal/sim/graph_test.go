@@ -282,3 +282,106 @@ func TestGraphSeedHostsRange(t *testing.T) {
 		t.Fatalf("SeedHosts=665 rejected: %v", err)
 	}
 }
+
+// TestFastGraphProbesCountBurntOutNodes checks the fast graph driver's
+// per-tick probe total against its definition: every infected node of
+// degree > 0 at tick start emits perHost probes, whether or not it still
+// has a susceptible or sensor neighbor to draw on, and the total widens
+// to the realized draws when those overshoot it.
+func TestFastGraphProbesCountBurntOutNodes(t *testing.T) {
+	g, err := proxgraph.New(proxgraph.Config{Nodes: 1200, Degree: 6, Radius: 0.03, Sensors: 60, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const scanRate = 2.5 // fractional perHost exercises the truncation
+	for _, workers := range []int{1, 3} {
+		res, err := RunFast(FastConfig{Topology: g, ScanRate: scanRate, TickSeconds: 1,
+			MaxSeconds: 120, SeedHosts: 20, Seed: 5, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := res.Series[len(res.Series)-1]; last.NewInfections != 0 || res.Final.Infected <= 20 {
+			t.Fatalf("workers=%d: run must spread and then saturate (final %d, last tick %+v)",
+				workers, res.Final.Infected, last)
+		}
+		for _, ti := range res.Series {
+			k := 0 // infected nodes of degree > 0 at tick start
+			for id, it := range res.InfectionTime {
+				if it >= 0 && it < ti.Time && g.Degree(id) > 0 {
+					k++
+				}
+			}
+			want := uint64(scanRate * float64(k))
+			if drawn := uint64(ti.NewInfections) + ti.Outcomes[OutcomeSensorHit]; drawn > want {
+				want = drawn
+			}
+			if ti.Probes != want {
+				t.Fatalf("workers=%d t=%v: probes %d, want %d (k=%d)", workers, ti.Time, ti.Probes, want, k)
+			}
+		}
+	}
+}
+
+// handGraph is a hand-wired topo.Graph for driver edge cases.
+type handGraph struct {
+	adj     [][]int32
+	sensors []bool
+}
+
+func (g *handGraph) Name() string            { return "hand" }
+func (g *handGraph) Nodes() int              { return len(g.adj) }
+func (g *handGraph) Degree(i int) int        { return len(g.adj[i]) }
+func (g *handGraph) Neighbors(i int) []int32 { return g.adj[i] }
+func (g *handGraph) IsSensor(i int) bool     { return g.sensors[i] }
+func (g *handGraph) SensorCount() int {
+	n := 0
+	for _, s := range g.sensors {
+		if s {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFastGraphSensorNeighborKeepsDrawing pins the fast driver's
+// retirement rule: a node stops drawing only when it has neither a
+// susceptible nor a sensor neighbor. On the path 0–1–2–3 with sensor
+// leaf 4 on node 3, node 3 has no live neighbor once the path is
+// infected, yet it must keep producing sensor hits every few ticks.
+func TestFastGraphSensorNeighborKeepsDrawing(t *testing.T) {
+	g := &handGraph{
+		adj:     [][]int32{{1}, {0, 2}, {1, 3}, {2, 4}, {3}},
+		sensors: []bool{false, false, false, false, true},
+	}
+	if err := topo.ValidateGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		res, err := RunFast(FastConfig{Topology: g, ScanRate: 8, TickSeconds: 1,
+			MaxSeconds: 60, SeedHosts: 1, Seed: 3, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		saturated := -1
+		for i, ti := range res.Series {
+			if ti.Infected == 4 {
+				saturated = i
+				break
+			}
+		}
+		if saturated < 0 || saturated > 30 {
+			t.Fatalf("workers=%d: path not fully infected early (saturated at tick index %d)", workers, saturated)
+		}
+		// Node 3 draws sensor hits at rate 8·1/2 = 4 per tick after
+		// saturation; count them over the remaining ticks.
+		var tailHits uint64
+		tail := res.Series[saturated+1:]
+		for _, ti := range tail {
+			tailHits += ti.Outcomes[OutcomeSensorHit]
+		}
+		if tailHits < uint64(len(tail)) {
+			t.Fatalf("workers=%d: %d sensor hits over %d ticks after saturation, want about 4 per tick",
+				workers, tailHits, len(tail))
+		}
+	}
+}
