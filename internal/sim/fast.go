@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -123,6 +124,9 @@ func (c *FastConfig) validate() error {
 	if c.Pop == nil || c.Pop.Size() == 0 {
 		return errors.New("sim: empty population")
 	}
+	if err := checkSlotCeiling(c.Pop.Size()); err != nil {
+		return err
+	}
 	if c.Model == nil {
 		return errors.New("sim: nil rate model")
 	}
@@ -154,6 +158,17 @@ func (c *FastConfig) validate() error {
 	}
 	if err := checkFaultHorizon(c.Faults, c.MaxSeconds); err != nil {
 		return err
+	}
+	return nil
+}
+
+// checkSlotCeiling rejects populations whose arena slots would not fit
+// an int32. Slots, the kill list and its radix sort all assume
+// non-negative int32 values, so the check runs before indexHosts
+// allocates anything sized by the population.
+func checkSlotCeiling(hosts int) error {
+	if hosts > math.MaxInt32 {
+		return fmt.Errorf("sim: %d hosts exceed the int32 arena slot ceiling %d", hosts, math.MaxInt32)
 	}
 	return nil
 }
@@ -292,6 +307,7 @@ type fastState struct {
 	// feeding refreshCompLive's incremental branch.
 	killsTick    []int32
 	killBlockOff []int32 // per live-index block: kills below the block's first slot
+	killSort     slotSorter
 }
 
 // RunFast runs the aggregated simulation.
@@ -395,6 +411,7 @@ func RunFast(cfg FastConfig) (*Result, error) {
 	baseDeliver := 1 - cfg.LossRate
 	deliver := baseDeliver
 	ws := make([]fastWorker, workers)
+	bounds := make([]int, 0, workers+1)
 	var faultCursor faults.TraceCursor
 	for step := 1; step <= steps; step++ {
 		t := float64(step) * cfg.TickSeconds
@@ -426,10 +443,11 @@ func RunFast(cfg FastConfig) (*Result, error) {
 					if !st.live.test(int(ev.slot)) {
 						continue // claimed earlier this tick
 					}
-					id := st.arenaIDs[ev.slot]
 					infectSlot(ev.slot, t)
 					newInf++
-					rec.AppendInfection(step, t, -1, int(id), uint32(st.arenaAddrs[ev.slot]), vecName(ev.ci))
+					if rec != nil {
+						rec.AppendInfection(step, t, -1, int(st.arenaIDs[ev.slot]), uint32(st.arenaAddrs[ev.slot]), vecName(ev.ci))
+					}
 					continue
 				}
 				if cfg.Faults.SensorDown(ev.dst, t) {
@@ -462,11 +480,13 @@ func RunFast(cfg FastConfig) (*Result, error) {
 		} else {
 			// Phase 1: draw this tick's arrivals against the tick-start
 			// live index. Infections land in phase 2, so the workers'
-			// shared reads are race-free.
+			// shared reads are race-free. Shards are cut at equal
+			// cumulative λ: groups are listed in infection order, and the
+			// oldest hold nearly all of it.
+			bounds = cutShards(bounds, st.lam, st.lamTotal, nShards)
 			var wg sync.WaitGroup
 			for wi := 0; wi < nShards; wi++ {
-				lo := wi * nGroups / nShards
-				hi := (wi + 1) * nGroups / nShards
+				lo, hi := bounds[wi], bounds[wi+1]
 				wg.Add(1)
 				go func(w *fastWorker, lo, hi, step int) {
 					defer wg.Done()
@@ -520,6 +540,27 @@ func RunFast(cfg FastConfig) (*Result, error) {
 	rec.Append(trace.Event{Tick: len(res.Series), T: res.Final.Time, Kind: trace.KindPhase,
 		Agent: -1, Victim: -1, Vector: "end", Detail: "fast", N: uint64(res.Final.Infected)})
 	return res, nil
+}
+
+// cutShards refills bounds with the nShards+1 cut points that split the
+// groups into contiguous ranges [bounds[wi], bounds[wi+1]) of about equal
+// cumulative λ: cut k is the first group index whose in-order prefix sum
+// reaches k/nShards of total, so no shard exceeds total/nShards by more
+// than its largest group. total is the in-order sum of lam (rebuildRates'
+// lamTotal); when it is 0 every group lands in the last shard. Where the
+// cuts fall changes only which worker draws a group, never its draws.
+func cutShards(bounds []int, lam []float64, total float64, nShards int) []int {
+	bounds = append(bounds[:0], 0)
+	gi, sum := 0, 0.0
+	for k := 1; k < nShards; k++ {
+		target := total * float64(k) / float64(nShards)
+		for gi < len(lam) && sum < target {
+			sum += lam[gi]
+			gi++
+		}
+		bounds = append(bounds, gi)
+	}
+	return append(bounds, len(lam))
 }
 
 // reserveEvents returns buf emptied, with capacity for lam expected
@@ -677,7 +718,7 @@ func (st *fastState) refreshCompLive(d *compData) {
 // plus a scan of one (typically near-empty) block bucket — the queries run
 // once per span per pool per tick, so they must not each binary-search.
 func (st *fastState) indexKills() {
-	sortInt32s(st.killsTick)
+	st.killSort.sort(st.killsTick)
 	nb := st.live.blocks + 1
 	if cap(st.killBlockOff) < nb {
 		st.killBlockOff = make([]int32, nb)
@@ -759,13 +800,58 @@ func (st *fastState) rebuildRates(tickDeliver float64) {
 	st.rateValid = true
 }
 
-// sortInt32s sorts s ascending in place — an allocation-free insertion/
-// shell hybrid is overkill here; slot kill lists are short except in the
-// hottest internet-scale ticks, where sort.Slice's closure overhead is
-// noise against the draws.
-func sortInt32s(s []int32) {
-	if len(s) > 1 {
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+// slotSorter sorts a tick's kill list. The hottest internet-scale ticks
+// kill ~3·10⁶ slots; sorting those by comparison takes ~1 s of a
+// 10⁷-host outbreak, so long lists take a two-pass LSD radix sort over
+// the 16-bit halves of the slot (~0.1 s). Short ones (the paper-scale
+// common case) fall back to slices.Sort rather than clear the
+// histograms. Scratch is kept at its high-water size across calls.
+type slotSorter struct {
+	tmp    []int32
+	counts []int32 // two 1<<16 histograms: low half, then high half
+}
+
+// sort sorts s ascending in place. Every value must be a non-negative
+// int32, which checkSlotCeiling guarantees for arena slots.
+func (z *slotSorter) sort(s []int32) {
+	if len(s) < 1<<12 {
+		slices.Sort(s)
+		return
+	}
+	if cap(z.tmp) < len(s) {
+		z.tmp = make([]int32, len(s))
+	}
+	tmp := z.tmp[:len(s)]
+	if z.counts == nil {
+		z.counts = make([]int32, 2<<16)
+	} else {
+		clear(z.counts)
+	}
+	lo, hi := z.counts[:1<<16], z.counts[1<<16:]
+	for _, x := range s {
+		lo[x&0xffff]++
+		hi[x>>16]++
+	}
+	prefixSums(lo)
+	prefixSums(hi)
+	for _, x := range s {
+		d := x & 0xffff
+		tmp[lo[d]] = x
+		lo[d]++
+	}
+	for _, x := range tmp {
+		d := x >> 16
+		s[hi[d]] = x
+		hi[d]++
+	}
+}
+
+// prefixSums turns bucket counts into bucket start offsets in place.
+func prefixSums(counts []int32) {
+	var sum int32
+	for i, c := range counts {
+		counts[i] = sum
+		sum += c
 	}
 }
 
