@@ -9,7 +9,10 @@ package hotspots
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/detect"
 	"repro/internal/experiments"
@@ -232,14 +235,31 @@ func BenchmarkFastDriverEpidemic(b *testing.B) {
 	}
 }
 
-// Snapshot benchmarks: the standard CodeRedII configurations tracked across
-// PRs by scripts/bench.sh → BENCH_<date>.json. Every iteration runs the
-// same outbreak (seed driverBenchSeed). The *Metrics variants attach
-// a live obs.Registry so the snapshot also prices the telemetry hot path,
-// and the *Trace variant attaches a flight recorder so benchsnap can gate
-// the recorder's overhead against the plain run.
+// codeRedIIPaperConfig is the paper-scale CodeRedII outbreak (§5: 134,586
+// hosts, 10 probes/s, 2000 one-second ticks, 25 seed hosts) through the
+// fast driver, on seed driverBenchSeed.
+func codeRedIIPaperConfig(pop *population.Population, reg *obs.Registry, rec *trace.Recorder, workers int) sim.FastConfig {
+	return sim.FastConfig{
+		Pop:         pop,
+		Model:       sim.NewCodeRedIIModel(),
+		ScanRate:    10,
+		TickSeconds: 1,
+		MaxSeconds:  2000,
+		SeedHosts:   25,
+		Seed:        driverBenchSeed,
+		Workers:     workers,
+		Metrics:     reg,
+		Trace:       rec,
+		Clock:       &obs.SimClock{},
+	}
+}
 
-func benchRunFastCodeRedII(b *testing.B, reg *obs.Registry, rec *trace.Recorder, workers int) {
+// benchRunFastCodeRedII runs codeRedIIPaperConfig once per iteration. The
+// *Metrics variant attaches a live obs.Registry to price the telemetry hot
+// path; the *Trace variant attaches a fresh flight recorder per iteration,
+// as every traced CLI run and hotspotd job does, so ns/op prices the
+// recorder's full cost including its ring blocks.
+func benchRunFastCodeRedII(b *testing.B, reg *obs.Registry, traced bool, workers int) {
 	b.Helper()
 	pop, err := population.Synthesize(population.DefaultCodeRedII(1))
 	if err != nil {
@@ -247,32 +267,74 @@ func benchRunFastCodeRedII(b *testing.B, reg *obs.Registry, rec *trace.Recorder,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunFast(sim.FastConfig{
-			Pop:         pop,
-			Model:       sim.NewCodeRedIIModel(),
-			ScanRate:    10,
-			TickSeconds: 1,
-			MaxSeconds:  2000,
-			SeedHosts:   25,
-			Seed:        driverBenchSeed,
-			Workers:     workers,
-			Metrics:     reg,
-			Trace:       rec,
-			Clock:       &obs.SimClock{},
-		})
-		if err != nil {
+		var rec *trace.Recorder
+		if traced {
+			rec = trace.NewRecorder(0)
+		}
+		if _, err := sim.RunFast(codeRedIIPaperConfig(pop, reg, rec, workers)); err != nil {
 			b.Fatal(err)
 		}
-		_ = res
 	}
 }
 
-func BenchmarkRunFastCodeRedII(b *testing.B) { benchRunFastCodeRedII(b, nil, nil, 1) }
+func BenchmarkRunFastCodeRedII(b *testing.B) { benchRunFastCodeRedII(b, nil, false, 1) }
 func BenchmarkRunFastCodeRedIIMetrics(b *testing.B) {
-	benchRunFastCodeRedII(b, obs.NewRegistry(), nil, 1)
+	benchRunFastCodeRedII(b, obs.NewRegistry(), false, 1)
 }
-func BenchmarkRunFastCodeRedIITrace(b *testing.B) {
-	benchRunFastCodeRedII(b, nil, trace.NewRecorder(0), 1)
+func BenchmarkRunFastCodeRedIITrace(b *testing.B) { benchRunFastCodeRedII(b, nil, true, 1) }
+
+// BenchmarkFlightRecorderOverhead's gate: the median traced/plain ratio
+// over flightRecorderPairs interleaved pairs may not exceed
+// maxFlightRecorderOverhead. A single pair's ratio ranges from about 0.9
+// to 1.4 on a shared host.
+const (
+	flightRecorderPairs       = 15
+	maxFlightRecorderOverhead = 1.15
+)
+
+// BenchmarkFlightRecorderOverhead gates the flight recorder's cost on
+// codeRedIIPaperConfig by wall-time ratio. Pairs alternate which run goes
+// first, each traced run gets a fresh recorder, and a GC before every
+// timed run keeps one run's garbage off the next one's clock. Every
+// iteration times a full set of pairs, so the bound is never judged on
+// fewer; run it as
+//
+//	go test -run '^$' -bench '^BenchmarkFlightRecorderOverhead$' -benchtime 1x .
+func BenchmarkFlightRecorderOverhead(b *testing.B) {
+	pop, err := population.Synthesize(population.DefaultCodeRedII(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(rec *trace.Recorder) float64 {
+		runtime.GC()
+		start := time.Now()
+		if _, err := sim.RunFast(codeRedIIPaperConfig(pop, nil, rec, 1)); err != nil {
+			b.Fatal(err)
+		}
+		return float64(time.Since(start))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ratios := make([]float64, flightRecorderPairs)
+		for p := range ratios {
+			var plain, traced float64
+			if p%2 == 0 {
+				plain = run(nil)
+				traced = run(trace.NewRecorder(0))
+			} else {
+				traced = run(trace.NewRecorder(0))
+				plain = run(nil)
+			}
+			ratios[p] = traced / plain
+		}
+		slices.Sort(ratios)
+		median := ratios[len(ratios)/2]
+		b.ReportMetric(median, "traced/plain")
+		if median > maxFlightRecorderOverhead {
+			b.Fatalf("flight recorder overhead: median traced/plain %.3f over %d pairs exceeds %.2f (sorted ratios %.3f)",
+				median, len(ratios), maxFlightRecorderOverhead, ratios)
+		}
+	}
 }
 
 // BenchmarkRunFastCodeRedIIParallel runs the same workload through the fast
@@ -281,7 +343,7 @@ func BenchmarkRunFastCodeRedIITrace(b *testing.B) {
 // multi-core hosts it tracks the parallel fast driver's scaling. Results are
 // byte-identical to the serial benchmark's by the Workers contract
 // (DESIGN.md §14).
-func BenchmarkRunFastCodeRedIIParallel(b *testing.B) { benchRunFastCodeRedII(b, nil, nil, 0) }
+func BenchmarkRunFastCodeRedIIParallel(b *testing.B) { benchRunFastCodeRedII(b, nil, false, 0) }
 
 // benchRunFastInternetScale drives a CodeRedII outbreak over an
 // internet-scale synthetic population to half prevalence — the §14 scale
@@ -323,7 +385,7 @@ func benchRunFastInternetScale(b *testing.B, size, stop int) {
 // The 10⁷-host leg runs the epidemic to half prevalence (the full logistic
 // including its dense-/16 saturation tail); the 10⁸-host leg stops at ten
 // million infections, which pins per-infection cost at full address-space
-// scale while keeping snapshot turnaround bounded.
+// scale while keeping one iteration's run time bounded.
 func BenchmarkRunFastInternetScale10M(b *testing.B) {
 	benchRunFastInternetScale(b, 10_000_000, 5_000_000)
 }
@@ -334,9 +396,8 @@ func BenchmarkRunFastInternetScale100M(b *testing.B) {
 
 // BenchmarkProxGraphNew prices proxgraph.New on its own: the same
 // 100k-node, Degree-8, 1000-sensor world every iteration (seed 1, nothing
-// derived from i), so ns/op is one world build. It rides in the
-// millisecond-scale snapshot leg next to BenchmarkRunFastProxGraph,
-// which keeps construction outside its timed region.
+// derived from i), so ns/op is one world build —
+// BenchmarkRunFastProxGraph keeps construction outside its timed region.
 func BenchmarkProxGraphNew(b *testing.B) {
 	cfg := proxgraph.Config{Nodes: 100_000, Degree: 8, Sensors: 1000, Seed: 1}
 	for i := 0; i < b.N; i++ {
@@ -350,10 +411,7 @@ func BenchmarkProxGraphNew(b *testing.B) {
 // 100k-node mutual-kNN world to half prevalence, on seed driverBenchSeed
 // every iteration. World construction sits outside the timed region; the
 // measured run is the graph fast driver's thinned per-agent Poisson
-// loop, which shares nothing with the IPv4 arena path. It rides in the
-// millisecond-scale snapshot leg so benchsnap -compare gates it
-// alongside the CodeRedII legs — the pair proves the topology seam added
-// a graph path without taxing the IPv4 one.
+// loop, which shares nothing with the IPv4 arena path.
 func BenchmarkRunFastProxGraph(b *testing.B) {
 	world, err := proxgraph.New(proxgraph.Config{
 		Nodes: 100_000, Degree: 8, Sensors: 1000, Seed: 1,

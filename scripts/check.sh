@@ -69,10 +69,4 @@ wait "$hotspotd_pid"
 grep -q 'hotspotd: drained' .serve/hotspotd.log || { echo "hotspotd: no clean drain"; cat .serve/hotspotd.log; exit 1; }
 echo "hotspotd smoke: served and drained cleanly in $(( $(date +%s) - serve_start ))s"
 
-# Non-blocking: surface benchmark regressions between the two most recent
-# committed snapshots without failing the gate (exit 2 = regression is
-# review information; refreshing the snapshot is a deliberate act).
-echo "==> scripts/benchdiff.sh (non-blocking)"
-scripts/benchdiff.sh || echo "benchdiff: flagged (non-blocking, see output above)"
-
 echo "==> all checks passed"
