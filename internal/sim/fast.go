@@ -235,8 +235,8 @@ type compData struct {
 	// Live-geometry cache: per-span cumulative live counts and the global
 	// live rank at each span's start, valid for the live index as of the
 	// stamp'th rate rebuild. Victim selection reads these instead of
-	// querying the live index per span, leaving one Fenwick descent per
-	// draw.
+	// querying the live index per span, leaving one search of the chosen
+	// span's blocks per draw.
 	stamp   uint64
 	liveCt  int64
 	cumLive []int64
@@ -252,20 +252,13 @@ type fastEvent struct {
 	dst  ipv4.Addr
 }
 
-// fastWorker is one phase-1 draw shard's private state. The RNG is a
-// value, reseeded per (group, tick) — no worker ever shares randomness
-// with another, which is what makes the tick's result independent of
-// goroutine scheduling.
-type fastWorker struct {
-	r      rng.Xoshiro
-	events []fastEvent
-}
-
 // fastState carries the driver's caches.
 type fastState struct {
 	cfg FastConfig
 	pop *population.Population
 
+	// groups maps a GroupKey to its group. Only the first infection in a
+	// group run consults it (see runGroup).
 	groups map[uint64]*fastGroup
 	// groupList holds groups in creation order: per-tick processing must
 	// not follow map iteration order, or same-seed runs would diverge. A
@@ -285,10 +278,26 @@ type fastState struct {
 	// registry, no pool mutation.
 	arenaAddrs []ipv4.Addr
 	arenaIDs   []int32
-	idSlot     []int32
 	pubLen     int32
 	siteSpan   map[int]slotSpan
 	live       *liveIndex
+
+	// Group runs: the maximal arena slot ranges whose hosts share one
+	// GroupKey. runStart[r] is run r's first slot; runBlock[b] is the run
+	// holding live-index block b's first slot, so a slot's run is a search
+	// among the few runs of its own block. runGroup[r] is the run's group,
+	// nil until the run's first infection. A key may own several runs
+	// (LocalPrefModel keys NAT'd hosts by private /24 across sites), which
+	// is why that first infection still goes through groups.
+	runStart []int32
+	runBlock []int32
+	runGroup []*fastGroup
+
+	// infTime is the result's per-host infection time. Every kill in
+	// killsTick happened at killTime, so indexKills writes them in sorted
+	// slot order instead of the merge writing one random host per kill.
+	infTime  []float64
+	killTime float64
 
 	// Per-group/per-component intensity cache, valid until an infection
 	// changes the live set or the tick's delivery probability moves.
@@ -339,35 +348,27 @@ func RunFast(cfg FastConfig) (*Result, error) {
 		// the phase-1 workers' concurrent reads are pure.
 		cfg.SensorSet.Freeze()
 	}
-	st := &fastState{
-		cfg:       cfg,
-		pop:       cfg.Pop,
-		groups:    make(map[uint64]*fastGroup),
-		compCache: make(map[compKey]*compData),
-	}
-	st.indexHosts()
-
+	st := newFastState(cfg)
 	n := cfg.Pop.Size()
-	infTime := make([]float64, n)
-	for i := range infTime {
-		infTime[i] = -1
-	}
 	total := 0
-	// infectSlot records an infection. Callers guarantee the slot is live.
-	infectSlot := func(slot int32, t float64) {
+	// infectSlot records an infection at st.killTime. Callers guarantee
+	// the slot is live.
+	infectSlot := func(slot int32) {
 		st.live.kill(int(slot))
 		st.killsTick = append(st.killsTick, slot)
-		id := st.arenaIDs[slot]
-		infTime[id] = t
 		total++
-		h := st.pop.Host(int(id))
-		key := cfg.Model.GroupKey(h)
-		g, ok := st.groups[key]
-		if !ok {
-			off, cnt := st.buildComps(h)
-			g = &fastGroup{off: off, n: cnt}
-			st.groups[key] = g
-			st.groupList = append(st.groupList, g)
+		r := st.runOf(slot)
+		g := st.runGroup[r]
+		if g == nil {
+			h := st.pop.Host(int(st.arenaIDs[slot]))
+			key := cfg.Model.GroupKey(h)
+			if g = st.groups[key]; g == nil {
+				off, cnt := st.buildComps(h)
+				g = &fastGroup{off: off, n: cnt}
+				st.groups[key] = g
+				st.groupList = append(st.groupList, g)
+			}
+			st.runGroup[r] = g
 		}
 		g.infected++
 		st.rateValid = false
@@ -376,7 +377,7 @@ func RunFast(cfg FastConfig) (*Result, error) {
 	rec.Append(trace.Event{Tick: 0, T: 0, Kind: trace.KindPhase, Agent: -1, Victim: -1, Vector: "start", Detail: "fast"})
 	seedR := rng.NewXoshiro(cfg.Seed)
 	for _, id := range seedR.SampleWithoutReplacement(n, cfg.SeedHosts) {
-		infectSlot(st.idSlot[id], 0)
+		infectSlot(st.slotOf(id))
 		rec.AppendInfection(0, 0, -1, id, uint32(st.pop.Host(id).Addr), "seed")
 	}
 	// compVec caches the per-component attribution labels ("c0", "c1", …)
@@ -390,7 +391,7 @@ func RunFast(cfg FastConfig) (*Result, error) {
 	}
 
 	steps := int(cfg.MaxSeconds / cfg.TickSeconds)
-	res := &Result{InfectionTime: infTime, Series: make([]TickInfo, 0, steps)}
+	res := &Result{InfectionTime: st.infTime, Series: make([]TickInfo, 0, steps)}
 	metrics := newSimMetrics(cfg.Metrics, "fast", cfg.MetricLabels)
 	metrics.attachFaults(cfg.Metrics, cfg.Faults, "fast", cfg.MetricLabels)
 
@@ -410,7 +411,9 @@ func RunFast(cfg FastConfig) (*Result, error) {
 
 	baseDeliver := 1 - cfg.LossRate
 	deliver := baseDeliver
-	ws := make([]fastWorker, workers)
+	// bufs[wi] is phase-1 shard wi's event buffer, kept across ticks and
+	// written back once per tick by drawShard.
+	bufs := make([][]fastEvent, workers)
 	bounds := make([]int, 0, workers+1)
 	var faultCursor faults.TraceCursor
 	for step := 1; step <= steps; step++ {
@@ -429,6 +432,7 @@ func RunFast(cfg FastConfig) (*Result, error) {
 		if !st.rateValid || tickDeliver != st.cachedDeliver {
 			st.rebuildRates(tickDeliver)
 		}
+		st.killTime = t
 
 		var newInf int
 		var sensorDraws, sensorDown uint64
@@ -443,7 +447,7 @@ func RunFast(cfg FastConfig) (*Result, error) {
 					if !st.live.test(int(ev.slot)) {
 						continue // claimed earlier this tick
 					}
-					infectSlot(ev.slot, t)
+					infectSlot(ev.slot)
 					newInf++
 					if rec != nil {
 						rec.AppendInfection(step, t, -1, int(st.arenaIDs[ev.slot]), uint32(st.arenaAddrs[ev.slot]), vecName(ev.ci))
@@ -471,12 +475,8 @@ func RunFast(cfg FastConfig) (*Result, error) {
 			// whether it fires at all — the Poisson squeeze generalized to
 			// the whole group-tick — with no worker dispatch and, in the
 			// common all-zero case, no event machinery at all.
-			w := &ws[0]
-			w.events = reserveEvents(w.events, st.lamTotal)
-			for gi := 0; gi < nGroups; gi++ {
-				w.events = st.drawGroup(&w.r, gi, step, w.events)
-			}
-			apply(w.events)
+			bufs[0] = st.drawShard(bufs[0], 0, nGroups, step)
+			apply(bufs[0])
 		} else {
 			// Phase 1: draw this tick's arrivals against the tick-start
 			// live index. Infections land in phase 2, so the workers'
@@ -488,24 +488,17 @@ func RunFast(cfg FastConfig) (*Result, error) {
 			for wi := 0; wi < nShards; wi++ {
 				lo, hi := bounds[wi], bounds[wi+1]
 				wg.Add(1)
-				go func(w *fastWorker, lo, hi, step int) {
+				go func(wi, lo, hi, step int) {
 					defer wg.Done()
-					var lamShard float64
-					for gi := lo; gi < hi; gi++ {
-						lamShard += st.lam[gi]
-					}
-					w.events = reserveEvents(w.events, lamShard)
-					for gi := lo; gi < hi; gi++ {
-						w.events = st.drawGroup(&w.r, gi, step, w.events)
-					}
-				}(&ws[wi], lo, hi, step)
+					bufs[wi] = st.drawShard(bufs[wi], lo, hi, step)
+				}(wi, lo, hi, step)
 			}
 			wg.Wait()
 			// Phase 2: serial merge in worker order. Shards are contiguous
 			// group ranges, so visiting workers in index order replays
 			// events exactly as a serial pass over the group list would.
 			for wi := 0; wi < nShards; wi++ {
-				apply(ws[wi].events)
+				apply(bufs[wi])
 			}
 		}
 
@@ -532,6 +525,7 @@ func RunFast(cfg FastConfig) (*Result, error) {
 			deliver = baseDeliver * (1 - c.Drop)
 		}
 	}
+	st.stampKills() // the last tick's kills, which no rebuild indexed
 	if reporter != nil {
 		// End of run: deliver everything still in flight so detection sees
 		// every observation exactly as a real collector drain would.
@@ -575,6 +569,24 @@ func reserveEvents(buf []fastEvent, lam float64) []fastEvent {
 		return buf[:0]
 	}
 	return make([]fastEvent, 0, need)
+}
+
+// drawShard draws groups [lo, hi) for one tick into buf, emptied and
+// reserved for their expected arrivals, and returns it. The RNG and the
+// growing slice live in this frame, not in memory shared between shards:
+// shards writing per-draw state into adjacent words would share a cache
+// line, and every draw would contend for it (DESIGN.md §14).
+func (st *fastState) drawShard(buf []fastEvent, lo, hi, step int) []fastEvent {
+	var lam float64
+	for gi := lo; gi < hi; gi++ {
+		lam += st.lam[gi]
+	}
+	var r rng.Xoshiro
+	buf = reserveEvents(buf, lam)
+	for gi := lo; gi < hi; gi++ {
+		buf = st.drawGroup(&r, gi, step, buf)
+	}
+	return buf
 }
 
 // drawGroup consumes group gi's tick RNG stream and appends its arrival
@@ -653,15 +665,17 @@ func (st *fastState) drawGroup(r *rng.Xoshiro, gi, step int, out []fastEvent) []
 // selectVictim resolves the j-th live slot of a span-union pool using the
 // pool's cached live geometry: a scan of the cumulative counts picks the
 // span, and the cached start rank turns the within-span index into a
-// single global Fenwick select. The caller guarantees j is below the
-// cached live pool size the arrival was priced with.
+// global rank, which the live index resolves by searching that span's
+// blocks alone. The caller guarantees j is below the cached live pool
+// size the arrival was priced with.
 func (st *fastState) selectVictim(d *compData, j int64) int {
 	for i, c := range d.cumLive {
 		if j < c {
 			if i > 0 {
 				j -= d.cumLive[i-1]
 			}
-			return st.live.selectGlobal(int(d.rankLo[i] + j))
+			sp := d.spans[i]
+			return st.live.selectSpan(int(d.rankLo[i]+j), int(sp.Lo), int(sp.Hi))
 		}
 	}
 	panic("sim: victim index out of pool range")
@@ -673,7 +687,7 @@ func (st *fastState) selectVictim(d *compData, j int64) int {
 // span's live count by the kills inside it — integer identities on the
 // rank function, so the result matches a from-scratch recompute exactly,
 // with each kill count answered from the per-block kill table instead of
-// a Fenwick rank. Pools built mid-run (stamp 0) or otherwise out of
+// a live-index rank's popcount walk. Pools built mid-run (stamp 0) or otherwise out of
 // sequence take the full recompute.
 func (st *fastState) refreshCompLive(d *compData) {
 	if d.stamp+1 == st.rateStamp && cap(d.cumLive) >= len(d.spans) {
@@ -712,13 +726,15 @@ func (st *fastState) refreshCompLive(d *compData) {
 	d.stamp = st.rateStamp
 }
 
-// indexKills sorts the tick's kill list and fills killBlockOff so that
-// killBlockOff[b] counts the kills below slot b·liveBlockSlots. One pass
-// here turns every killsBelow query during the rebuild into a table load
-// plus a scan of one (typically near-empty) block bucket — the queries run
-// once per span per pool per tick, so they must not each binary-search.
+// indexKills sorts the tick's kill list, stamps the killed hosts'
+// infection times, and fills killBlockOff so that killBlockOff[b] counts
+// the kills below slot b·liveBlockSlots. One pass here turns every
+// killsBelow query during the rebuild into a table load plus a scan of one
+// (typically near-empty) block bucket — the queries run once per span per
+// pool per tick, so they must not each binary-search.
 func (st *fastState) indexKills() {
 	st.killSort.sort(st.killsTick)
+	st.stampKills()
 	nb := st.live.blocks + 1
 	if cap(st.killBlockOff) < nb {
 		st.killBlockOff = make([]int32, nb)
@@ -730,6 +746,14 @@ func (st *fastState) indexKills() {
 			c++
 		}
 		st.killBlockOff[b] = int32(c)
+	}
+}
+
+// stampKills writes killTime as the infection time of every host killed
+// since the last rate rebuild.
+func (st *fastState) stampKills() {
+	for _, s := range st.killsTick {
+		st.infTime[st.arenaIDs[s]] = st.killTime
 	}
 }
 
@@ -761,6 +785,7 @@ func (st *fastState) rebuildRates(tickDeliver float64) {
 	st.lamTotal = 0
 	st.probesTotal = 0
 	st.rateStamp++
+	st.live.refresh()
 	// The kills recorded since the previous rebuild, sorted, drive the
 	// incremental branch of refreshCompLive. Every reachable compData is
 	// visited on every rebuild, so "one rebuild behind" is the only
@@ -910,13 +935,31 @@ func closeFastTickOutcomes(probes float64, newInf int, sensorDraws, sensorDown u
 	return probesEmitted, outcomes
 }
 
+// newFastState lays out the arena, its group runs and the live index for
+// a validated IPv4 config, with every host uninfected.
+func newFastState(cfg FastConfig) *fastState {
+	st := &fastState{
+		cfg:       cfg,
+		pop:       cfg.Pop,
+		groups:    make(map[uint64]*fastGroup),
+		compCache: make(map[compKey]*compData),
+	}
+	st.indexHosts()
+	// Allocated after indexHosts, whose sort scratch is then dead, so the
+	// two never add up in the set-up's peak heap.
+	st.infTime = make([]float64, cfg.Pop.Size())
+	for i := range st.infTime {
+		st.infTime[i] = -1
+	}
+	return st
+}
+
 // indexHosts lays out the slot arena: public hosts sorted by address, then
 // each NAT site as its own region sorted by private address. Public
 // ordering uses a two-pass LSD radix sort — O(n) against the comparison
 // sort's n·log n, which matters at 10⁸ hosts.
 func (st *fastState) indexHosts() {
 	n := st.pop.Size()
-	st.idSlot = make([]int32, n)
 	st.arenaAddrs = make([]ipv4.Addr, n)
 	st.arenaIDs = make([]int32, n)
 	siteMembers := make(map[int][]int32)
@@ -934,7 +977,6 @@ func (st *fastState) indexHosts() {
 		addr, id := ipv4.Addr(v>>32), int32(uint32(v))
 		st.arenaAddrs[s] = addr
 		st.arenaIDs[s] = id
-		st.idSlot[id] = int32(s)
 	}
 	st.pubLen = int32(len(pub))
 	sites := make([]int, 0, len(siteMembers))
@@ -953,12 +995,77 @@ func (st *fastState) indexHosts() {
 		for _, id := range members {
 			st.arenaAddrs[next] = st.pop.Host(int(id)).Addr
 			st.arenaIDs[next] = id
-			st.idSlot[id] = next
 			next++
 		}
 		st.siteSpan[site] = slotSpan{Lo: lo, Hi: next}
 	}
 	st.live = newLiveIndex(n)
+	st.indexRuns(sites)
+}
+
+// indexRuns records the arena's group runs in one pass over the layout:
+// the public region, then each site region in arena order. A run may
+// cross a region boundary when the key does not change there.
+func (st *fastState) indexRuns(sites []int) {
+	var key uint64
+	scan := func(sp slotSpan, site int) {
+		for s := sp.Lo; s < sp.Hi; s++ {
+			k := st.cfg.Model.GroupKey(population.Host{Addr: st.arenaAddrs[s], Site: site})
+			if s == 0 || k != key {
+				st.runStart = append(st.runStart, s)
+				key = k
+			}
+		}
+	}
+	scan(slotSpan{Lo: 0, Hi: st.pubLen}, population.NoSite)
+	for _, site := range sites {
+		scan(st.siteSpan[site], site)
+	}
+	st.runGroup = make([]*fastGroup, len(st.runStart))
+	st.runBlock = make([]int32, st.live.blocks)
+	r := 0
+	for b := range st.runBlock {
+		for r+1 < len(st.runStart) && int(st.runStart[r+1]) <= b*liveBlockSlots {
+			r++
+		}
+		st.runBlock[b] = int32(r)
+	}
+}
+
+// runOf returns the index of the group run holding slot s: a binary search
+// among the runs that overlap s's live-index block, which the block table
+// bounds to [runBlock[b], runBlock[b+1]].
+func (st *fastState) runOf(s int32) int {
+	b := int(s) / liveBlockSlots
+	lo, hi := int(st.runBlock[b]), len(st.runStart)
+	if b+1 < len(st.runBlock) {
+		hi = int(st.runBlock[b+1]) + 1
+	}
+	for lo+1 < hi {
+		if mid := int(uint(lo+hi) >> 1); st.runStart[mid] <= s {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// slotOf returns host id's arena slot: a binary search of its address in
+// its region (the public one, or its NAT site's), then a scan past any
+// equal addresses to the slot holding id itself.
+func (st *fastState) slotOf(id int) int32 {
+	h := st.pop.Host(id)
+	region := slotSpan{Lo: 0, Hi: st.pubLen}
+	if h.IsNATed() {
+		region = st.siteSpan[h.Site]
+	}
+	addrs := st.arenaAddrs[region.Lo:region.Hi]
+	s := region.Lo + int32(sort.Search(len(addrs), func(i int) bool { return addrs[i] >= h.Addr }))
+	for st.arenaIDs[s] != int32(id) {
+		s++
+	}
+	return s
 }
 
 // radixSortByAddr sorts packed (addr<<32 | id) entries by address (ties by

@@ -3,22 +3,26 @@ package sim
 import "math/bits"
 
 // liveIndex tracks which arena slots are still susceptible ("live") at
-// internet scale: a dense bitset (one bit per slot) plus a Fenwick tree of
-// per-block live counts. The block size is chosen so the Fenwick array for
-// 10⁸ slots is a few hundred kilobytes — small enough to stay cache-resident
-// while the bitset itself streams from memory.
+// internet scale: a dense bitset (one bit per slot), a live count per
+// 1024-slot block, and a prefix array over those counts. The block arrays
+// for 10⁸ slots are a few hundred kilobytes, small enough to stay
+// cache-resident while the bitset itself streams from memory.
 //
-// The index supports the three queries the fast driver's victim pools need:
+// The index supports the queries the fast driver's victim pools need:
 //
-//	liveIn(lo, hi)  — how many live slots in [lo, hi)          O(log n)
-//	selectIn(lo, j) — the j-th live slot at position ≥ lo      O(log n)
-//	kill(pos)       — mark a slot infected                     O(log n)
+//	kill(pos)                 — mark a slot infected                 O(1)
+//	refresh()                 — rebuild the block prefix array       O(blocks)
+//	rank(pos)                 — live slots in [0, pos)               O(1)
+//	selectSpan(k, lo, hi)     — the k-th live slot, known in [lo,hi) O(log span blocks)
 //
-// All read queries are safe to run concurrently as long as no kill is in
-// flight; the driver's two-phase tick (parallel read-only draws, serial
-// merge) guarantees that.
+// rank and selectSpan answer as of the last refresh: a kill updates the
+// bitset and its block's count at once, but the prefix array only at the
+// next refresh. The driver refreshes serially at every rate rebuild, and
+// the phase-1 draws that select run only after a rebuild and only read, so
+// the two-phase tick (parallel read-only draws, serial merge) keeps every
+// query consistent and race-free.
 const (
-	liveBlockWords = 16                  // 64-bit words per Fenwick block
+	liveBlockWords = 16                  // 64-bit words per block
 	liveBlockSlots = liveBlockWords * 64 // 1024 slots per block
 )
 
@@ -26,10 +30,11 @@ type liveIndex struct {
 	n      int
 	blocks int
 	words  []uint64 // bit set ⇒ slot live
-	fen    []int32  // 1-based Fenwick tree over per-block live counts
+	count  []int32  // per block: live slots
+	pre    []int32  // per block b: live slots in blocks [0, b), as of refresh
 }
 
-// newLiveIndex returns an index with all n slots live.
+// newLiveIndex returns an index with all n slots live, refreshed.
 func newLiveIndex(n int) *liveIndex {
 	nw := (n + 63) / 64
 	li := &liveIndex{n: n, words: make([]uint64, nw)}
@@ -40,24 +45,12 @@ func newLiveIndex(n int) *liveIndex {
 		li.words[nw-1] = (uint64(1) << r) - 1
 	}
 	li.blocks = (nw + liveBlockWords - 1) / liveBlockWords
-	li.fen = make([]int32, li.blocks+1)
-	for b := 0; b < li.blocks; b++ {
-		var c int32
-		end := (b + 1) * liveBlockWords
-		if end > nw {
-			end = nw
-		}
-		for w := b * liveBlockWords; w < end; w++ {
-			c += int32(bits.OnesCount64(li.words[w]))
-		}
-		li.fen[b+1] += c
+	li.count = make([]int32, li.blocks)
+	li.pre = make([]int32, li.blocks+1)
+	for b := range li.count {
+		li.count[b] = int32(min(liveBlockSlots, n-b*liveBlockSlots))
 	}
-	// O(blocks) Fenwick construction: push each prefix into its parent.
-	for i := 1; i <= li.blocks; i++ {
-		if j := i + i&(-i); j <= li.blocks {
-			li.fen[j] += li.fen[i]
-		}
-	}
+	li.refresh()
 	return li
 }
 
@@ -73,24 +66,23 @@ func (li *liveIndex) kill(pos int) {
 		return
 	}
 	li.words[w] &^= bit
-	for i := pos/liveBlockSlots + 1; i <= li.blocks; i += i & (-i) {
-		li.fen[i]--
-	}
+	li.count[pos/liveBlockSlots]--
 }
 
-// fenSum returns the live count of blocks [0, b).
-func (li *liveIndex) fenSum(b int) int {
+// refresh brings the block prefix array up to the kills made so far.
+func (li *liveIndex) refresh() {
 	var s int32
-	for ; b > 0; b -= b & (-b) {
-		s += li.fen[b]
+	for b, c := range li.count {
+		li.pre[b] = s
+		s += c
 	}
-	return int(s)
+	li.pre[li.blocks] = s
 }
 
 // rank returns the number of live slots in [0, pos). pos may equal n.
 func (li *liveIndex) rank(pos int) int {
 	b := pos / liveBlockSlots
-	s := li.fenSum(b)
+	s := int(li.pre[b])
 	wEnd := pos >> 6
 	for w := b * liveBlockWords; w < wEnd; w++ {
 		s += bits.OnesCount64(li.words[w])
@@ -101,33 +93,23 @@ func (li *liveIndex) rank(pos int) int {
 	return s
 }
 
-// liveIn returns the number of live slots in [lo, hi).
-func (li *liveIndex) liveIn(lo, hi int) int {
-	return li.rank(hi) - li.rank(lo)
-}
-
-// selectIn returns the j-th (0-based) live slot at position ≥ lo. The
-// caller guarantees j < liveIn(lo, n).
-func (li *liveIndex) selectIn(lo, j int) int {
-	return li.selectGlobal(li.rank(lo) + j)
-}
-
-// selectGlobal returns the k-th (0-based) live slot: a Fenwick descent to
-// the containing block, a popcount walk to the word, then an in-word select.
-func (li *liveIndex) selectGlobal(k int) int {
+// selectSpan returns the k-th (0-based) live slot of the whole index. The
+// caller guarantees that slot lies in [lo, hi), so a binary search over
+// that span's blocks alone finds the containing block: the last one whose
+// prefix is at most k. A popcount walk then finds the word, and an in-word
+// select the slot.
+func (li *liveIndex) selectSpan(k, lo, hi int) int {
 	rem := int32(k)
-	pos := 0
-	step := 1
-	for step<<1 <= li.blocks {
-		step <<= 1
-	}
-	for ; step > 0; step >>= 1 {
-		if next := pos + step; next <= li.blocks && li.fen[next] <= rem {
-			pos = next
-			rem -= li.fen[next]
+	b, end := lo/liveBlockSlots, (hi-1)/liveBlockSlots+1
+	for b+1 < end {
+		if mid := int(uint(b+end) >> 1); li.pre[mid] <= rem {
+			b = mid
+		} else {
+			end = mid
 		}
 	}
-	w := pos * liveBlockWords
+	rem -= li.pre[b]
+	w := b * liveBlockWords
 	for {
 		c := int32(bits.OnesCount64(li.words[w]))
 		if rem < c {
