@@ -16,6 +16,7 @@ package payload
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/ipv4"
 )
@@ -105,8 +106,19 @@ type Earlybird struct {
 // contentEntry tracks one sampled fingerprint.
 type contentEntry struct {
 	count uint64
-	srcs  map[ipv4.Addr]struct{}
-	dsts  map[ipv4.Addr]struct{}
+	srcs  addrSet
+	dsts  addrSet
+}
+
+// addrSet holds distinct addresses up to a limit. The alarm only asks
+// whether a dispersion threshold is reached, so the set stops growing at
+// it: its length is min(distinct addresses seen, limit).
+type addrSet []ipv4.Addr
+
+func (s *addrSet) add(a ipv4.Addr, limit int) {
+	if len(*s) < limit && !slices.Contains(*s, a) {
+		*s = append(*s, a)
+	}
 }
 
 // NewEarlybird builds a detector.
@@ -138,16 +150,13 @@ func (e *Earlybird) Observe(src, dst ipv4.Addr, data []byte) []Fingerprint {
 		ent, ok := e.entries[fp]
 		if !ok {
 			e.evictIfFull()
-			ent = &contentEntry{
-				srcs: make(map[ipv4.Addr]struct{}),
-				dsts: make(map[ipv4.Addr]struct{}),
-			}
+			ent = &contentEntry{}
 			e.entries[fp] = ent
 			e.order = append(e.order, fp)
 		}
 		ent.count++
-		ent.srcs[src] = struct{}{}
-		ent.dsts[dst] = struct{}{}
+		ent.srcs.add(src, e.cfg.SrcThreshold)
+		ent.dsts.add(dst, e.cfg.DstThreshold)
 		if !e.alarms[fp] &&
 			ent.count >= e.cfg.PrevalenceThreshold &&
 			len(ent.srcs) >= e.cfg.SrcThreshold &&
