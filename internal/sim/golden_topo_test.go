@@ -26,10 +26,10 @@ import (
 // refactor), re-pin by running with -run TestIPv4GoldenByteIdentity -v
 // and copying the printed hashes — and say so in the PR.
 const (
-	goldenExactW1 = "2a59eef812c1e6d8eefd8fd07eb5ab1b7c56edaea67051b776c120d659f6ec1e"
-	goldenExactW4 = "2a59eef812c1e6d8eefd8fd07eb5ab1b7c56edaea67051b776c120d659f6ec1e"
-	goldenFastW1  = "d3769a484b3620a1cb3155e530091f08b4d8aec038108301f16ac9a618cf84b8"
-	goldenFastW4  = "d3769a484b3620a1cb3155e530091f08b4d8aec038108301f16ac9a618cf84b8"
+	goldenExactW1 = "33a37b82805c1236b05fb0e59ab2f91579a557559b68b6ef682268c8647e15bf"
+	goldenExactW4 = "33a37b82805c1236b05fb0e59ab2f91579a557559b68b6ef682268c8647e15bf"
+	goldenFastW1  = "a37a0114f6a3a48da4bb2066a597d77185fa81bcc46b4a17bc4550ff70de5c23"
+	goldenFastW4  = "a37a0114f6a3a48da4bb2066a597d77185fa81bcc46b4a17bc4550ff70de5c23"
 )
 
 // goldenSerialize renders every observable of a run byte-stably: the tick
