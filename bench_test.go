@@ -348,7 +348,7 @@ func BenchmarkRunFastCodeRedIIParallel(b *testing.B) { benchRunFastCodeRedII(b, 
 // benchRunFastInternetScale drives a CodeRedII outbreak over an
 // internet-scale synthetic population to half prevalence — the §14 scale
 // contract's headline workload. Population synthesis sits outside the
-// timed region; the measured run covers arena construction, the bitset
+// timed region; the measured run covers group-run set-up, the bitset
 // live index, and the event-driven tick loop, on seed driverBenchSeed
 // every iteration. Skipped under -short (the 10⁸-host population alone
 // holds multiple GiB).
@@ -411,7 +411,7 @@ func BenchmarkProxGraphNew(b *testing.B) {
 // 100k-node mutual-kNN world to half prevalence, on seed driverBenchSeed
 // every iteration. World construction sits outside the timed region; the
 // measured run is the graph fast driver's thinned per-agent Poisson
-// loop, which shares nothing with the IPv4 arena path.
+// loop, which shares nothing with the IPv4 slot path.
 func BenchmarkRunFastProxGraph(b *testing.B) {
 	world, err := proxgraph.New(proxgraph.Config{
 		Nodes: 100_000, Degree: 8, Sensors: 1000, Seed: 1,

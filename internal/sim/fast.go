@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/faults"
@@ -162,13 +161,13 @@ func (c *FastConfig) validate() error {
 	return nil
 }
 
-// checkSlotCeiling rejects populations whose arena slots would not fit
-// an int32. Slots, the kill list and its radix sort all assume
-// non-negative int32 values, so the check runs before indexHosts
-// allocates anything sized by the population.
+// checkSlotCeiling rejects populations whose slots would not fit an
+// int32. Slots, the kill list and its radix sort all assume non-negative
+// int32 values, so the check runs before newFastState allocates anything
+// sized by the population.
 func checkSlotCeiling(hosts int) error {
 	if hosts > math.MaxInt32 {
-		return fmt.Errorf("sim: %d hosts exceed the int32 arena slot ceiling %d", hosts, math.MaxInt32)
+		return fmt.Errorf("sim: %d hosts exceed the int32 slot ceiling %d", hosts, math.MaxInt32)
 	}
 	return nil
 }
@@ -182,9 +181,9 @@ func checkSlotCeiling(hosts int) error {
 // approximation switch inside rng.Poisson).
 const fastSkipLambda = 1.0
 
-// slotSpan is a half-open arena slot range [Lo, Hi) — topo.Span, which
-// the IPv4 reference topology constructs; the driver keeps the local
-// alias because span geometry is arena layout, not set algebra.
+// slotSpan is a half-open slot range [Lo, Hi) — topo.Span, which the
+// IPv4 reference topology constructs; the driver keeps the local alias
+// because span geometry is host layout, not set algebra.
 type slotSpan = topo.Span
 
 // ipv4World is the reference topology whose pure helpers (victim-span
@@ -194,7 +193,7 @@ type slotSpan = topo.Span
 var ipv4World topo.IPv4
 
 // fastComp is one precomputed mixture component of a group. Its victim
-// pool is an immutable union of arena slot spans; liveness is resolved
+// pool is an immutable union of slot spans; liveness is resolved
 // against the shared live index at draw time, so the per-tick arrival rate
 // is weightOverSet times the *live* pool size — Poisson thinning of the
 // full-pool rate, distributionally equivalent to drawing at the full rate
@@ -220,7 +219,7 @@ type compKey struct {
 	site int
 }
 
-// compData is the per-(set, site) pool geometry: the arena slot spans the
+// compData is the per-(set, site) pool geometry: the slot spans the
 // set covers plus the monitored-space intersection. The geometry fields are
 // immutable after construction; the live-geometry cache below is refreshed
 // serially by rebuildRates (stamp tells a rebuild pass "already done" —
@@ -271,18 +270,14 @@ type fastState struct {
 	// compCache memoizes per-(set, site) component data.
 	compCache map[compKey]*compData
 
-	// Slot arena: public hosts sorted by address occupy [0, pubLen); each
-	// NAT site follows as its own region sorted by private address. Every
-	// victim pool is a span union over this layout, and a single live
+	// A host's slot is its id: the population's canonical order (public
+	// hosts by address, then each NAT site by private address) is the slot
+	// order. Every victim pool is a span union over it, and a single live
 	// index carries all per-host infection state — no per-host pool
 	// registry, no pool mutation.
-	arenaAddrs []ipv4.Addr
-	arenaIDs   []int32
-	pubLen     int32
-	siteSpan   map[int]slotSpan
-	live       *liveIndex
+	live *liveIndex
 
-	// Group runs: the maximal arena slot ranges whose hosts share one
+	// Group runs: the maximal slot ranges whose hosts share one
 	// GroupKey. runStart[r] is run r's first slot; runBlock[b] is the run
 	// holding live-index block b's first slot, so a slot's run is a search
 	// among the few runs of its own block. runGroup[r] is the run's group,
@@ -360,7 +355,7 @@ func RunFast(cfg FastConfig) (*Result, error) {
 		r := st.runOf(slot)
 		g := st.runGroup[r]
 		if g == nil {
-			h := st.pop.Host(int(st.arenaIDs[slot]))
+			h := st.pop.Host(int(slot))
 			key := cfg.Model.GroupKey(h)
 			if g = st.groups[key]; g == nil {
 				off, cnt := st.buildComps(h)
@@ -377,7 +372,7 @@ func RunFast(cfg FastConfig) (*Result, error) {
 	rec.Append(trace.Event{Tick: 0, T: 0, Kind: trace.KindPhase, Agent: -1, Victim: -1, Vector: "start", Detail: "fast"})
 	seedR := rng.NewXoshiro(cfg.Seed)
 	for _, id := range seedR.SampleWithoutReplacement(n, cfg.SeedHosts) {
-		infectSlot(st.slotOf(id))
+		infectSlot(int32(id))
 		rec.AppendInfection(0, 0, -1, id, uint32(st.pop.Host(id).Addr), "seed")
 	}
 	// compVec caches the per-component attribution labels ("c0", "c1", …)
@@ -450,7 +445,7 @@ func RunFast(cfg FastConfig) (*Result, error) {
 					infectSlot(ev.slot)
 					newInf++
 					if rec != nil {
-						rec.AppendInfection(step, t, -1, int(st.arenaIDs[ev.slot]), uint32(st.arenaAddrs[ev.slot]), vecName(ev.ci))
+						rec.AppendInfection(step, t, -1, int(ev.slot), uint32(st.pop.Host(int(ev.slot)).Addr), vecName(ev.ci))
 					}
 					continue
 				}
@@ -753,7 +748,7 @@ func (st *fastState) indexKills() {
 // since the last rate rebuild.
 func (st *fastState) stampKills() {
 	for _, s := range st.killsTick {
-		st.infTime[st.arenaIDs[s]] = st.killTime
+		st.infTime[s] = st.killTime
 	}
 }
 
@@ -837,7 +832,7 @@ type slotSorter struct {
 }
 
 // sort sorts s ascending in place. Every value must be a non-negative
-// int32, which checkSlotCeiling guarantees for arena slots.
+// int32, which checkSlotCeiling guarantees for slots.
 func (z *slotSorter) sort(s []int32) {
 	if len(s) < 1<<12 {
 		slices.Sort(s)
@@ -935,91 +930,37 @@ func closeFastTickOutcomes(probes float64, newInf int, sensorDraws, sensorDown u
 	return probesEmitted, outcomes
 }
 
-// newFastState lays out the arena, its group runs and the live index for
-// a validated IPv4 config, with every host uninfected.
+// newFastState builds the group runs and the live index for a validated
+// IPv4 config, with every host uninfected. Nothing here is per-host but
+// the infection times and the live bitset.
 func newFastState(cfg FastConfig) *fastState {
+	n := cfg.Pop.Size()
 	st := &fastState{
 		cfg:       cfg,
 		pop:       cfg.Pop,
 		groups:    make(map[uint64]*fastGroup),
 		compCache: make(map[compKey]*compData),
+		live:      newLiveIndex(n),
+		infTime:   make([]float64, n),
 	}
-	st.indexHosts()
-	// Allocated after indexHosts, whose sort scratch is then dead, so the
-	// two never add up in the set-up's peak heap.
-	st.infTime = make([]float64, cfg.Pop.Size())
 	for i := range st.infTime {
 		st.infTime[i] = -1
 	}
+	st.indexRuns()
 	return st
 }
 
-// indexHosts lays out the slot arena: public hosts sorted by address, then
-// each NAT site as its own region sorted by private address. Public
-// ordering uses a two-pass LSD radix sort — O(n) against the comparison
-// sort's n·log n, which matters at 10⁸ hosts.
-func (st *fastState) indexHosts() {
-	n := st.pop.Size()
-	st.arenaAddrs = make([]ipv4.Addr, n)
-	st.arenaIDs = make([]int32, n)
-	siteMembers := make(map[int][]int32)
-	pub := make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		h := st.pop.Host(i)
-		if h.IsNATed() {
-			siteMembers[h.Site] = append(siteMembers[h.Site], int32(i))
-			continue
-		}
-		pub = append(pub, uint64(h.Addr)<<32|uint64(uint32(i)))
-	}
-	radixSortByAddr(pub)
-	for s, v := range pub {
-		addr, id := ipv4.Addr(v>>32), int32(uint32(v))
-		st.arenaAddrs[s] = addr
-		st.arenaIDs[s] = id
-	}
-	st.pubLen = int32(len(pub))
-	sites := make([]int, 0, len(siteMembers))
-	for site := range siteMembers {
-		sites = append(sites, site)
-	}
-	sort.Ints(sites)
-	st.siteSpan = make(map[int]slotSpan, len(sites))
-	next := st.pubLen
-	for _, site := range sites {
-		members := siteMembers[site]
-		sort.Slice(members, func(i, j int) bool {
-			return st.pop.Host(int(members[i])).Addr < st.pop.Host(int(members[j])).Addr
-		})
-		lo := next
-		for _, id := range members {
-			st.arenaAddrs[next] = st.pop.Host(int(id)).Addr
-			st.arenaIDs[next] = id
-			next++
-		}
-		st.siteSpan[site] = slotSpan{Lo: lo, Hi: next}
-	}
-	st.live = newLiveIndex(n)
-	st.indexRuns(sites)
-}
-
-// indexRuns records the arena's group runs in one pass over the layout:
-// the public region, then each site region in arena order. A run may
-// cross a region boundary when the key does not change there.
-func (st *fastState) indexRuns(sites []int) {
+// indexRuns records the group runs in one pass over the hosts in slot
+// order. A run may cross from the public hosts into a site, or from one
+// site into the next, when the key does not change there.
+func (st *fastState) indexRuns() {
 	var key uint64
-	scan := func(sp slotSpan, site int) {
-		for s := sp.Lo; s < sp.Hi; s++ {
-			k := st.cfg.Model.GroupKey(population.Host{Addr: st.arenaAddrs[s], Site: site})
-			if s == 0 || k != key {
-				st.runStart = append(st.runStart, s)
-				key = k
-			}
+	for s := 0; s < st.pop.Size(); s++ {
+		k := st.cfg.Model.GroupKey(st.pop.Host(s))
+		if s == 0 || k != key {
+			st.runStart = append(st.runStart, int32(s))
+			key = k
 		}
-	}
-	scan(slotSpan{Lo: 0, Hi: st.pubLen}, population.NoSite)
-	for _, site := range sites {
-		scan(st.siteSpan[site], site)
 	}
 	st.runGroup = make([]*fastGroup, len(st.runStart))
 	st.runBlock = make([]int32, st.live.blocks)
@@ -1049,55 +990,6 @@ func (st *fastState) runOf(s int32) int {
 		}
 	}
 	return lo
-}
-
-// slotOf returns host id's arena slot: a binary search of its address in
-// its region (the public one, or its NAT site's), then a scan past any
-// equal addresses to the slot holding id itself.
-func (st *fastState) slotOf(id int) int32 {
-	h := st.pop.Host(id)
-	region := slotSpan{Lo: 0, Hi: st.pubLen}
-	if h.IsNATed() {
-		region = st.siteSpan[h.Site]
-	}
-	addrs := st.arenaAddrs[region.Lo:region.Hi]
-	s := region.Lo + int32(sort.Search(len(addrs), func(i int) bool { return addrs[i] >= h.Addr }))
-	for st.arenaIDs[s] != int32(id) {
-		s++
-	}
-	return s
-}
-
-// radixSortByAddr sorts packed (addr<<32 | id) entries by address (ties by
-// id) with a two-pass LSD counting sort over the address halves. Small
-// inputs fall back to a comparison sort.
-func radixSortByAddr(v []uint64) {
-	if len(v) < 1<<12 {
-		sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-		return
-	}
-	tmp := make([]uint64, len(v))
-	counts := make([]int, 1<<16)
-	for pass := 0; pass < 2; pass++ {
-		shift := uint(32 + 16*pass)
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, x := range v {
-			counts[(x>>shift)&0xffff]++
-		}
-		sum := 0
-		for i, c := range counts {
-			counts[i] = sum
-			sum += c
-		}
-		for _, x := range v {
-			b := (x >> shift) & 0xffff
-			tmp[counts[b]] = x
-			counts[b]++
-		}
-		copy(v, tmp)
-	}
 }
 
 // buildComps materializes the fast components for a host's group into the
@@ -1135,16 +1027,14 @@ func (st *fastState) compDataFor(set *ipv4.Set, site int) *compData {
 		return d
 	}
 	d := &compData{setSize: set.Size()}
-	region := slotSpan{Lo: 0, Hi: st.pubLen}
+	// A private component draws from its own site's region, where every
+	// address is reachable (hard blocks apply to Internet paths only).
 	eff := set
-	if site != population.NoSite {
-		// Private component: the site's own arena region; every address in
-		// it is reachable (hard blocks apply to Internet paths only).
-		region = st.siteSpan[site]
-	} else if st.cfg.BlockedDst != nil {
+	if site == population.NoSite && st.cfg.BlockedDst != nil {
 		eff = set.Subtract(st.cfg.BlockedDst)
 	}
-	d.spans = ipv4World.VictimSpans(st.arenaAddrs[region.Lo:region.Hi], region.Lo, eff, d.spans)
+	addrs, lo := st.pop.Region(site)
+	d.spans = ipv4World.VictimSpans(addrs, int32(lo), eff, d.spans)
 	if site == population.NoSite && st.cfg.Sensors != nil && st.cfg.SensorSet != nil {
 		// Phase-1 workers Select from the embedded set concurrently;
 		// EmbedSensors freezes its lazy indexes while construction is

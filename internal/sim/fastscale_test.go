@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -233,7 +234,7 @@ func (m *privateOnlyModel) Components(population.Host) []Component {
 
 func (m *privateOnlyModel) Name() string { return "private-only" }
 
-// TestRunFastPrivatePoolsPerSite checks the NAT-site arena regions: a
+// TestRunFastPrivatePoolsPerSite checks the NAT-site slot regions: a
 // private-only scanner must saturate exactly the sites that received a
 // seed and never touch the others.
 func TestRunFastPrivatePoolsPerSite(t *testing.T) {
@@ -272,9 +273,33 @@ func TestRunFastPrivatePoolsPerSite(t *testing.T) {
 	}
 }
 
+// TestNewFastStateBytesPerHost bounds what the fast driver allocates to
+// set up one run on a 10⁶-host population at 10 bytes per host: the
+// infection times' 8, the live bitset's 1/8, and the block and group-run
+// tables. The population's canonical order is the slot order, so any
+// per-host copy of the host list — the address-sorted arena this replaced
+// held ~32 bytes per host — breaks the bound.
+func TestNewFastStateBytesPerHost(t *testing.T) {
+	pop, err := population.Synthesize(population.InternetScale(1_000_000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := FastConfig{Pop: pop, Model: NewCodeRedIIModel()}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st := newFastState(cfg)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(st)
+	perHost := float64(after.TotalAlloc-before.TotalAlloc) / float64(pop.Size())
+	t.Logf("newFastState allocates %.2f bytes per host", perHost)
+	if perHost > 10 {
+		t.Errorf("newFastState allocates %.2f bytes per host, want ≤ 10", perHost)
+	}
+}
+
 // TestRunFastSteadyStateAllocs gates the tick loop's allocation churn: a
 // 200-tick CodeRedII run must stay within a small allocation budget once
-// the arena and rate caches are built. The pre-arena driver spent ~26k
+// the rate caches are built. The pre-arena driver spent ~26k
 // allocations per run on pool compaction alone; the span/bitset engine
 // does none of that.
 func TestRunFastSteadyStateAllocs(t *testing.T) {
@@ -296,8 +321,8 @@ func TestRunFastSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Budget: population-proportional setup (arena, live index, infection
-	// times) plus per-group construction — but nothing per tick per pool.
+	// Budget: population-proportional setup (group runs, live index,
+	// infection times) plus per-group construction — but nothing per tick per pool.
 	const budget = 4000
 	if avg > budget {
 		t.Errorf("RunFast allocations per run = %.0f, want ≤ %d", avg, budget)

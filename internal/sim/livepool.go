@@ -2,7 +2,7 @@ package sim
 
 import "math/bits"
 
-// liveIndex tracks which arena slots are still susceptible ("live") at
+// liveIndex tracks which slots are still susceptible ("live") at
 // internet scale: a dense bitset (one bit per slot), a live count per
 // 1024-slot block, and a prefix array over those counts. The block arrays
 // for 10⁸ slots are a few hundred kilobytes, small enough to stay

@@ -159,7 +159,7 @@ func TestLiveIndexSelectExhaustive(t *testing.T) {
 
 // BenchmarkLiveIndexSelect prices one victim select on a 10⁷-slot index
 // with half its slots killed: over spans of 8 blocks, the size of one
-// populated /16's arena span at internet-10m scale, and over the whole
+// populated /16's slot span at internet-10m scale, and over the whole
 // index. Run with:
 //
 //	go test -run '^$' -bench '^BenchmarkLiveIndexSelect$' ./internal/sim

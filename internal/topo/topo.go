@@ -32,15 +32,15 @@ type Topology interface {
 	Name() string
 }
 
-// Span is a half-open slot range [Lo, Hi) in an address-sorted arena.
+// Span is a half-open slot range [Lo, Hi) over address-sorted hosts.
 // Victim pools in the fast driver are unions of spans: membership is
 // positional, so liveness can stay in a shared index and the spans
 // themselves never change after construction.
 type Span struct{ Lo, Hi int32 }
 
 // IPv4 is the reference topology: the flat 2³² address universe of the
-// paper, with victim pools built as span unions over an address-sorted
-// slot arena and sensors embedded by interval-set intersection. All
+// paper, with victim pools built as span unions over address-sorted host
+// slots and sensors embedded by interval-set intersection. All
 // methods are pure functions of their inputs.
 type IPv4 struct{}
 
@@ -51,15 +51,15 @@ func (IPv4) Name() string { return "ipv4" }
 func (IPv4) Universe() uint64 { return 1 << 32 }
 
 // Rank returns the number of slots in the address-sorted slice addrs
-// whose address is strictly below a — the arena-rank of a.
+// whose address is strictly below a — the slot rank of a.
 func (IPv4) Rank(addrs []ipv4.Addr, a ipv4.Addr) int {
 	return sort.Search(len(addrs), func(i int) bool { return addrs[i] >= a })
 }
 
-// VictimSpans maps a target set onto an address-sorted arena region,
+// VictimSpans maps a target set onto an address-sorted region of slots,
 // appending one Span per interval that covers at least one slot. addrs
 // is the region's slot-address slice and base its global offset, so the
-// returned spans index the whole arena, not the region. Spans cover
+// returned spans index all slots, not the region. Spans cover
 // every host in the set regardless of infection state — liveness lives
 // in the driver's shared index — so the result is immutable.
 func (IPv4) VictimSpans(addrs []ipv4.Addr, base int32, set *ipv4.Set, dst []Span) []Span {

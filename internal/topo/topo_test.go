@@ -8,7 +8,7 @@ import (
 )
 
 func TestIPv4VictimSpansMatchesBruteForce(t *testing.T) {
-	// A sorted arena with gaps, duplicates-free, straddling the set's
+	// A sorted region with gaps, duplicates-free, straddling the set's
 	// interval boundaries.
 	addrs := []ipv4.Addr{10, 11, 12, 50, 51, 99, 100, 101, 200, 255}
 	set := ipv4.NewSet(
