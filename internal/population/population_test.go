@@ -301,6 +301,32 @@ func TestSynthesizeSlash16Capacity(t *testing.T) {
 	}
 }
 
+func TestSynthesizeFloorExceedingHead(t *testing.T) {
+	// The paper's anchors at 20,000 hosts leave ~1,700 of the 4,481 /16s
+	// below one host, more than the densest /16's 212 can repay. Every /16
+	// must still get a host and the sizes must still sum to Size.
+	cfg := DefaultCodeRedII(1)
+	cfg.Size = 20000
+	sizes := slash16Sizes(cfg)
+	sum := 0
+	for i, n := range sizes {
+		if n < 1 || (i > 0 && n > sizes[i-1]) {
+			t.Fatalf("size %d at rank %d: want ≥ 1 and non-increasing", n, i)
+		}
+		sum += n
+	}
+	if sum != cfg.Size {
+		t.Fatalf("sizes sum to %d, want %d", sum, cfg.Size)
+	}
+	p, err := Synthesize(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Size() != cfg.Size || len(p.Slash16Histogram()) != cfg.Slash16s {
+		t.Errorf("%d hosts in %d /16s, want %d in %d", p.Size(), len(p.Slash16Histogram()), cfg.Size, cfg.Slash16s)
+	}
+}
+
 func TestSynthesizeAvoidsPrivateSlash16s(t *testing.T) {
 	// Non-NAT hosts must all be routable: the exact driver drops probes to
 	// RFC 1918 destinations, so a "public" host at 172.30.x.y or 192.168.x.y
