@@ -660,9 +660,10 @@ func (st *fastState) drawGroup(r *rng.Xoshiro, gi, step int, out []fastEvent) []
 // selectVictim resolves the j-th live slot of a span-union pool using the
 // pool's cached live geometry: a scan of the cumulative counts picks the
 // span, and the cached start rank turns the within-span index into a
-// global rank, which the live index resolves by searching that span's
-// blocks alone. The caller guarantees j is below the cached live pool
-// size the arrival was priced with.
+// global rank, which the live index resolves by searching only the
+// blocks that both lie in that span and sit between the rank's two
+// select-directory samples. The caller guarantees j is below the cached
+// live pool size the arrival was priced with.
 func (st *fastState) selectVictim(d *compData, j int64) int {
 	for i, c := range d.cumLive {
 		if j < c {
