@@ -72,14 +72,39 @@ func NewXoshiro(seed uint64) *Xoshiro {
 // is reused rather than reallocated — the parallel exact driver reseeds
 // one worker-owned generator per agent per tick on its hot path.
 func (x *Xoshiro) SeedStream(seed, id, step uint64) {
-	h := Mix64(seed)
-	h = Mix64(h ^ Mix64(id))
-	h = Mix64(h ^ Mix64(step))
+	x.SeedHash(StreamHash(StreamKey(seed, id), Mix64(step)))
+}
+
+// SeedStream's fold, split so that a hot loop can hoist the parts that do
+// not change: StreamKey(seed, id) is fixed per stream id, Mix64(step) per
+// tick, and StreamHash(key, Mix64(step)) is the stream's head hash h. Then
+// x.SeedHash(h) leaves x exactly as x.SeedStream(seed, id, step) would,
+// and FirstFloat64(h) is that generator's first Float64 — priced at one
+// finalizer instead of the four the full state expansion takes.
+
+// StreamKey returns the per-id part of the (seed, id, step) fold.
+func StreamKey(seed, id uint64) uint64 { return StreamHash(Mix64(seed), Mix64(id)) }
+
+// StreamHash folds a mixed coordinate m into key: the (seed, id, step)
+// stream's head hash is StreamHash(StreamKey(seed, id), Mix64(step)).
+func StreamHash(key, m uint64) uint64 { return Mix64(key ^ m) }
+
+// SeedHash reseeds x in place from a stream head hash, expanding it into
+// xoshiro state exactly as NewXoshiro(h) would.
+func (x *Xoshiro) SeedHash(h uint64) {
 	sm := SplitMix64{state: h}
 	x.s0 = sm.Uint64()
 	x.s1 = sm.Uint64()
 	x.s2 = sm.Uint64()
 	x.s3 = sm.Uint64()
+}
+
+// FirstFloat64 returns the first Float64 of the generator SeedHash(h)
+// would produce. xoshiro256**'s first output reads only s1, the second
+// SplitMix64 output from h, which is Mix64(h+γ).
+func FirstFloat64(h uint64) float64 {
+	s1 := Mix64(h + 0x9e3779b97f4a7c15)
+	return float64((bits.RotateLeft64(s1*5, 7)*9)>>11) / (1 << 53)
 }
 
 // NewXoshiroStream returns a fresh generator seeded for the (seed, id,

@@ -63,3 +63,37 @@ func TestSeedStreamUniformity(t *testing.T) {
 		t.Fatalf("bit density %.4f outside [0.48, 0.52]", frac)
 	}
 }
+
+// streamRef is SeedStream's fold written out in full, as the exact
+// driver has always seeded its per-(agent, tick) streams: seed, id and
+// step mixed through the SplitMix64 finalizer and the result expanded by
+// NewXoshiro's reference initialization.
+func streamRef(seed, id, step uint64) *Xoshiro {
+	h := Mix64(seed)
+	h = Mix64(h ^ Mix64(id))
+	h = Mix64(h ^ Mix64(step))
+	return NewXoshiro(h)
+}
+
+// TestStreamHeadMatchesSeedStream checks the split fold against the
+// whole one over random (seed, id, step) triples: the keyed head hash
+// seeds the same state as SeedStream, FirstFloat64 predicts that
+// generator's first Float64, and SeedStream itself still seeds the
+// stream it always did, so the exact driver's draws do not move.
+func TestStreamHeadMatchesSeedStream(t *testing.T) {
+	r := NewXoshiro(20260)
+	for i := 0; i < 10000; i++ {
+		seed, id, step := r.Uint64(), r.Uint64()>>uint(r.Intn(64)), r.Uint64()>>uint(r.Intn(64))
+		h := StreamHash(StreamKey(seed, id), Mix64(step))
+		var viaHash, viaStream Xoshiro
+		viaHash.SeedHash(h)
+		viaStream.SeedStream(seed, id, step)
+		ref := streamRef(seed, id, step)
+		if viaHash != *ref || viaStream != *ref {
+			t.Fatalf("(%d, %d, %d): SeedHash state %v, SeedStream state %v, reference %v", seed, id, step, viaHash, viaStream, *ref)
+		}
+		if got, want := FirstFloat64(h), ref.Float64(); got != want {
+			t.Fatalf("(%d, %d, %d): FirstFloat64 %v, first Float64 %v", seed, id, step, got, want)
+		}
+	}
+}

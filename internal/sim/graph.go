@@ -309,8 +309,13 @@ func runFastGraph(cfg FastConfig, g topo.Graph) (*Result, error) {
 	// drawAgent consumes agent id's (node, tick) stream: one gate
 	// sequence for the arrival count, then per arrival one categorical
 	// draw (infection category first, then sensor) and, for infections,
-	// one selection draw over the live neighbors.
-	drawAgent := func(w *graphWorker, id int32, step int) {
+	// one selection draw over the live neighbors. The stream head is
+	// folded from the run's seedMix, the node id and stepMix =
+	// rng.Mix64(step) — SeedStream's fold with its per-run and per-tick
+	// parts hoisted — and a first uniform at or under 1−λ settles k = 0
+	// before the full state is expanded, as in the IPv4 driver's gate.
+	seedMix := rng.Mix64(cfg.Seed)
+	drawAgent := func(w *graphWorker, id int32, stepMix uint64) {
 		deg := g.Degree(int(id))
 		if deg == 0 {
 			return
@@ -321,8 +326,12 @@ func runFastGraph(cfg FastConfig, g topo.Graph) (*Result, error) {
 		if lam <= 0 {
 			return
 		}
+		h := rng.StreamHash(rng.StreamHash(seedMix, rng.Mix64(uint64(id))), stepMix)
+		if lam < 30 && rng.FirstFloat64(h) <= 1-lam {
+			return
+		}
 		r := &w.r
-		r.SeedStream(cfg.Seed, uint64(id), uint64(step))
+		r.SeedHash(h)
 		var k uint64
 		if lam < 30 {
 			// Knuth inversion with the 1−λ ≤ e^{−λ} squeeze, exactly as
@@ -358,6 +367,7 @@ func runFastGraph(cfg FastConfig, g topo.Graph) (*Result, error) {
 	for step := 1; step <= steps; step++ {
 		t := float64(step) * cfg.TickSeconds
 		cfg.Clock.Set(t)
+		stepMix := rng.Mix64(uint64(step))
 
 		// Serial pass over the tick-start agent list: retire burnt-out
 		// agents in place and sum the kept rates for the skip gate.
@@ -400,7 +410,7 @@ func runFastGraph(cfg FastConfig, g topo.Graph) (*Result, error) {
 			w := &ws[0]
 			w.reset()
 			for _, id := range agents[:nAgents] {
-				drawAgent(w, id, step)
+				drawAgent(w, id, stepMix)
 			}
 			apply(w)
 		} else {
@@ -409,13 +419,13 @@ func runFastGraph(cfg FastConfig, g topo.Graph) (*Result, error) {
 				lo := wi * nAgents / nShards
 				hi := (wi + 1) * nAgents / nShards
 				wg.Add(1)
-				go func(w *graphWorker, shard []int32, step int) {
+				go func(w *graphWorker, shard []int32, stepMix uint64) {
 					defer wg.Done()
 					w.reset()
 					for _, id := range shard {
-						drawAgent(w, id, step)
+						drawAgent(w, id, stepMix)
 					}
-				}(&ws[wi], agents[lo:hi:hi], step)
+				}(&ws[wi], agents[lo:hi:hi], stepMix)
 			}
 			wg.Wait()
 			// Serial merge in worker order = agent order; duplicate
