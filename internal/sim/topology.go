@@ -73,17 +73,8 @@ func (c *ExactConfig) validateGraph(g topo.Graph) error {
 	if err != nil {
 		return err
 	}
-	if err := checkTiming(c.ScanRate, c.TickSeconds, c.MaxSeconds); err != nil {
+	if err := c.params().check(true); err != nil {
 		return err
-	}
-	if c.ScanRate*c.TickSeconds > maxProbesPerHostTick {
-		return fmt.Errorf("sim: %v probes per host per tick exceeds the %v cap", c.ScanRate*c.TickSeconds, float64(maxProbesPerHostTick))
-	}
-	if int(c.ScanRate*c.TickSeconds+0.5) < 1 {
-		return fmt.Errorf("sim: exact driver needs ≥1 probe per host per tick")
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("sim: negative worker count %d (0 means GOMAXPROCS)", c.Workers)
 	}
 	return checkGraphSeeds(g, c.SeedHosts)
 }
@@ -106,14 +97,8 @@ func (c *FastConfig) validateGraph(g topo.Graph) error {
 	if err != nil {
 		return err
 	}
-	if err := checkTiming(c.ScanRate, c.TickSeconds, c.MaxSeconds); err != nil {
+	if err := c.params().check(false); err != nil {
 		return err
-	}
-	if c.ScanRate*c.TickSeconds > maxProbesPerHostTick {
-		return fmt.Errorf("sim: %v probes per host per tick exceeds the %v cap", c.ScanRate*c.TickSeconds, float64(maxProbesPerHostTick))
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("sim: negative worker count %d (0 means GOMAXPROCS)", c.Workers)
 	}
 	return checkGraphSeeds(g, c.SeedHosts)
 }
