@@ -5,28 +5,15 @@ import (
 	"go/token"
 )
 
-// GoroutineCapture flags two goroutine bug classes that -race only catches
-// when the schedule cooperates:
-//
-//   - a `go func(){...}` literal inside a loop that reads the loop
-//     variable instead of taking it as an argument (the classic
-//     internal/sweep bug class; per-iteration loop variables in Go 1.22
-//     mask it, but the explicit form keeps intent obvious and survives
-//     toolchain downgrades), and
-//   - writes to a map declared outside the literal, with no Lock call
-//     anywhere in the body to suggest synchronization.
+// GoroutineCapture flags writes inside a `go func` literal to a map
+// declared outside it, with no Lock call anywhere in the body to suggest
+// synchronization — a race that -race only catches when the schedule
+// cooperates. (Loop-variable capture needs no rule: since Go 1.22, which
+// go.mod requires, every loop iteration declares fresh variables.)
 var GoroutineCapture = &Analyzer{
 	Name: "goroutine-capture",
-	Doc:  "loop-variable capture and unsynchronized shared-map writes in go func literals",
+	Doc:  "unsynchronized shared-map writes in go func literals",
 	Run:  runGoroutineCapture,
-}
-
-// loopScope records one enclosing for/range statement: the variables it
-// declares, its body extent, and same-name rebinds inside the body.
-type loopScope struct {
-	vars    map[string]bool
-	rebound map[string]bool
-	body    *ast.BlockStmt
 }
 
 func runGoroutineCapture(pass *Pass) {
@@ -35,107 +22,18 @@ func runGoroutineCapture(pass *Pass) {
 		if !ok || fd.Body == nil {
 			continue
 		}
-		loops := collectLoops(fd.Body)
 		mapVars := collectMapVars(fd.Body)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
 			if !ok {
 				return true
 			}
-			lit, ok := gs.Call.Fun.(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			checkLoopCapture(pass, gs, lit, loops)
-			checkSharedMapWrites(pass, lit, mapVars)
-			return true
-		})
-	}
-}
-
-// collectLoops gathers every for/range statement in body along with the
-// variables its header declares and any `x := x` rebinds in its body.
-func collectLoops(body *ast.BlockStmt) []loopScope {
-	var loops []loopScope
-	ast.Inspect(body, func(n ast.Node) bool {
-		scope := loopScope{vars: make(map[string]bool), rebound: make(map[string]bool)}
-		switch s := n.(type) {
-		case *ast.RangeStmt:
-			if s.Tok == token.DEFINE {
-				for _, e := range []ast.Expr{s.Key, s.Value} {
-					if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-						scope.vars[id.Name] = true
-					}
-				}
-			}
-			scope.body = s.Body
-		case *ast.ForStmt:
-			if init, ok := s.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE {
-				for _, e := range init.Lhs {
-					if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-						scope.vars[id.Name] = true
-					}
-				}
-			}
-			scope.body = s.Body
-		default:
-			return true
-		}
-		if len(scope.vars) == 0 {
-			return true
-		}
-		// `v := v` inside the body rebinds the name per iteration; closures
-		// then capture the copy, which is safe and not flagged.
-		ast.Inspect(scope.body, func(m ast.Node) bool {
-			as, ok := m.(*ast.AssignStmt)
-			if !ok || as.Tok != token.DEFINE || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i := range as.Lhs {
-				l, lok := as.Lhs[i].(*ast.Ident)
-				r, rok := as.Rhs[i].(*ast.Ident)
-				if lok && rok && l.Name == r.Name && scope.vars[l.Name] {
-					scope.rebound[l.Name] = true
-				}
+			if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
+				checkSharedMapWrites(pass, lit, mapVars)
 			}
 			return true
 		})
-		loops = append(loops, scope)
-		return true
-	})
-	return loops
-}
-
-// checkLoopCapture reports loop variables read inside the go-literal body
-// without being passed as arguments or rebound.
-func checkLoopCapture(pass *Pass, gs *ast.GoStmt, lit *ast.FuncLit, loops []loopScope) {
-	captured := make(map[string]bool)
-	for _, scope := range loops {
-		if gs.Pos() < scope.body.Pos() || gs.End() > scope.body.End() {
-			continue
-		}
-		for name := range scope.vars {
-			if !scope.rebound[name] {
-				captured[name] = true
-			}
-		}
 	}
-	if len(captured) == 0 {
-		return
-	}
-	for name := range declaredIn(lit) {
-		delete(captured, name)
-	}
-	reported := make(map[string]bool)
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || !captured[id.Name] || reported[id.Name] {
-			return true
-		}
-		reported[id.Name] = true
-		pass.Report(id, "go func literal captures loop variable %q; pass it as an argument (go func(%s ...) {...}(%s))", id.Name, id.Name, id.Name)
-		return true
-	})
 }
 
 // checkSharedMapWrites reports writes (index assignment or delete) to maps

@@ -2,19 +2,6 @@ package sweep
 
 import "sync"
 
-func fanout(xs []int, sink func(int)) {
-	var wg sync.WaitGroup
-	for i, x := range xs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sink(i) // want "captures loop variable"
-			sink(x) // want "captures loop variable"
-		}()
-	}
-	wg.Wait()
-}
-
 func tally(xs []int) map[int]int {
 	counts := make(map[int]int)
 	var wg sync.WaitGroup

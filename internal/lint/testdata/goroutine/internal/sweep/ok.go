@@ -2,22 +2,6 @@ package sweep
 
 import "sync"
 
-func fanoutOK(xs []int, sink func(int)) {
-	var wg sync.WaitGroup
-	for i, x := range xs {
-		x := x
-		wg.Add(1)
-		// The loop index is passed as an argument and x is rebound per
-		// iteration: both safe, neither flagged.
-		go func(i int) {
-			defer wg.Done()
-			sink(i)
-			sink(x)
-		}(i)
-	}
-	wg.Wait()
-}
-
 func tallyLocked(xs []int) map[int]int {
 	counts := make(map[int]int)
 	var mu sync.Mutex

@@ -1,10 +1,12 @@
 package sweep
 
-func capture(xs []int, sink func(int)) {
-	for i := range xs {
+func record(xs []int) map[int]bool {
+	seen := make(map[int]bool)
+	for _, x := range xs {
 		go func() {
 			//lint:ignore goroutine-capture fixture proves the suppression path works
-			sink(i)
+			seen[x] = true
 		}()
 	}
+	return seen
 }
