@@ -26,6 +26,7 @@ import (
 	"repro/internal/topo/proxgraph"
 	"repro/internal/trace"
 	"repro/internal/worm"
+	"repro/internal/xcheck"
 )
 
 // benchExperiment runs a registered experiment once per iteration.
@@ -451,10 +452,6 @@ func benchRunExactCodeRedII(b *testing.B, reg *obs.Registry, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Force the lazily built address index before timing starts: with a
-	// small b.N its one-time construction would otherwise dominate the
-	// per-op numbers.
-	pop.Lookup(pop.Host(0).Addr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := sim.RunExact(sim.ExactConfig{
@@ -499,8 +496,6 @@ func BenchmarkExactDriverProbes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Build the lazy address index outside the timed region.
-	pop.Lookup(pop.Host(0).Addr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := sim.RunExact(sim.ExactConfig{
@@ -516,6 +511,27 @@ func BenchmarkExactDriverProbes(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = res
+	}
+}
+
+// BenchmarkExactServeWindow runs the job window of the serve-mix workload
+// (_perfbench): the 64 scenarios xcheck.Generate(1…64), each on one
+// worker, through xcheck.RunScenario, the call a hotspotd job makes. It
+// prices the exact driver on that mix without the server, journal and
+// clients around it.
+func BenchmarkExactServeWindow(b *testing.B) {
+	scs := make([]xcheck.Scenario, 64)
+	for i := range scs {
+		scs[i] = xcheck.Generate(uint64(i) + 1)
+		scs[i].Workers = 1
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sc := range scs {
+			if _, err := xcheck.RunScenario(context.Background(), sc); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -22,7 +22,9 @@ import (
 // /24s), each alerting once its probe count reaches a threshold. It
 // implements sim.HitRecorder. Not safe for concurrent use.
 type ThresholdFleet struct {
-	prefixes  []ipv4.Prefix // sorted by first address
+	prefixes  []ipv4.Prefix         // sorted by first address
+	lasts     []ipv4.Addr           // lasts[i] is prefixes[i].Last()
+	occ       *[1 << 16 / 64]uint64 // bit n set when /16 n meets a detector
 	counts    []uint64
 	alerted   []bool
 	nAlerted  int
@@ -53,11 +55,19 @@ func NewThresholdFleet(prefixes []ipv4.Prefix, threshold uint64) (*ThresholdFlee
 			return nil, fmt.Errorf("detect: prefixes %v and %v overlap", sorted[i-1], sorted[i])
 		}
 	}
-	for _, p := range sorted {
+	lasts := make([]ipv4.Addr, len(sorted))
+	occ := new([1 << 16 / 64]uint64)
+	for i, p := range sorted {
 		union.AddPrefix(p)
+		lasts[i] = p.Last()
+		for n := p.First().Slash16(); n <= lasts[i].Slash16(); n++ {
+			occ[n>>6] |= 1 << (n & 63)
+		}
 	}
 	return &ThresholdFleet{
 		prefixes:  sorted,
+		lasts:     lasts,
+		occ:       occ,
 		counts:    make([]uint64, len(sorted)),
 		alerted:   make([]bool, len(sorted)),
 		firstHit:  make([]bool, len(sorted)),
@@ -113,10 +123,23 @@ func (f *ThresholdFleet) Trace(rec *trace.Recorder, clock obs.Clock) {
 	f.traceClk = clock
 }
 
+// lookup returns the index of the detector holding dst, or -1. A /16
+// holding no detector, where most probes land, costs one bit test.
 func (f *ThresholdFleet) lookup(dst ipv4.Addr) int {
-	i := sort.Search(len(f.prefixes), func(i int) bool { return f.prefixes[i].Last() >= dst })
-	if i < len(f.prefixes) && f.prefixes[i].Contains(dst) {
-		return i
+	if n := dst.Slash16(); f.occ[n>>6]&(1<<(n&63)) == 0 {
+		return -1
+	}
+	lo, hi := 0, len(f.lasts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if f.lasts[mid] < dst {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(f.lasts) && f.prefixes[lo].First() <= dst {
+		return lo
 	}
 	return -1
 }

@@ -1,9 +1,11 @@
 package detect
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ipv4"
+	"repro/internal/rng"
 )
 
 func mustPrefixes(cidrs ...string) []ipv4.Prefix {
@@ -265,5 +267,46 @@ func TestDegradedQuorum(t *testing.T) {
 	f.SetDownSet(all)
 	if f.NumUp() != 0 || f.AlertedFractionOfUp() != 0 {
 		t.Error("fully-masked fleet mishandled")
+	}
+}
+
+// TestThresholdFleetCountsMatchScan replays probes into a fleet and into
+// an unfiltered reference that scans every prefix, and requires the same
+// per-detector counts. The fleet has /24s on both sides of /16 edges, a
+// /12 spanning sixteen /16s, and prefixes at both ends of the
+// address space, so its /16 filter is exercised at every boundary.
+func TestThresholdFleetCountsMatchScan(t *testing.T) {
+	prefixes := mustPrefixes("0.0.0.0/24", "7.1.255.0/24", "7.2.0.0/24", "7.2.255.0/24",
+		"9.255.255.0/24", "10.0.0.0/24", "44.16.0.0/12", "44.32.0.0/24", "128.0.0.0/24",
+		"200.9.128.0/24", "255.255.255.0/24")
+	f := MustNewThresholdFleet(prefixes, 3)
+	sorted := f.Prefixes()
+	want := make([]uint64, len(sorted))
+	r := rng.NewXoshiro(5)
+	var probes []ipv4.Addr
+	for _, p := range sorted {
+		// Each edge, its neighbours across the /16 boundaries, and random
+		// addresses in and around the prefix.
+		for _, a := range []ipv4.Addr{p.First() - 1, p.First(), p.Last(), p.Last() + 1,
+			p.First()&^0xffff - 1, p.First() | 0xffff, p.Last()&^0xffff - 1, p.Last() | 0xffff + 1} {
+			probes = append(probes, a)
+		}
+		for range 200 {
+			probes = append(probes, p.Nth(r.Uint64n(p.NumAddrs())), p.First()&^0xffff|ipv4.Addr(r.Uint64n(1<<16)))
+		}
+	}
+	for range 20000 {
+		probes = append(probes, ipv4.Addr(r.Uint64n(1<<32)))
+	}
+	for _, a := range probes {
+		f.RecordHit(a)
+		for i, p := range sorted {
+			if p.Contains(a) {
+				want[i]++
+			}
+		}
+	}
+	if got := f.Counts(); !slices.Equal(got, want) {
+		t.Errorf("fleet counts %v, scan counts %v", got, want)
 	}
 }

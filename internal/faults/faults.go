@@ -361,8 +361,11 @@ func (rep *Reporter) flushDue() {
 	for ; i < len(rep.queue) && rep.queue[i].due <= rep.now; i++ {
 		rep.deliver(rep.queue[i].src, rep.queue[i].dst)
 	}
+	// Move the pending reports to the front of the array, so later reports
+	// reuse its capacity. Re-slicing past the delivered ones would shed
+	// that capacity, and with no delay every report would allocate anew.
 	if i > 0 {
-		rep.queue = rep.queue[i:]
+		rep.queue = rep.queue[:copy(rep.queue, rep.queue[i:])]
 	}
 }
 

@@ -245,3 +245,32 @@ func TestReporterDelayDuplicationAndFlush(t *testing.T) {
 		t.Fatalf("dup accounting: delivered=%d dupes=%d observed=%d", n, rd.Duplicated(), rd.Observed())
 	}
 }
+
+// TestReporterReusesQueue checks that a reporter in steady state allocates
+// nothing: delivered reports give their room back to the queue, with and
+// without a delay. Re-slicing past them cost one allocation per report
+// with no delay.
+func TestReporterReusesQueue(t *testing.T) {
+	for _, delay := range []float64{0, 2.5} {
+		p := MustCompile(Config{Seed: 5, Reporting: &ReportingConfig{Delay: delay, DupProb: 0.5}}, 1000)
+		var n int
+		rep := p.NewReporter(func(_, _ ipv4.Addr) { n++ })
+		now := 0.0
+		tick := func() {
+			now++
+			rep.Advance(now)
+			for i := range 50 {
+				rep.Report(1, ipv4.Addr(i))
+			}
+		}
+		for range 10 {
+			tick()
+		}
+		if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
+			t.Errorf("delay %v: %v allocations per 50-report tick, want 0", delay, allocs)
+		}
+		if n == 0 {
+			t.Errorf("delay %v: nothing delivered", delay)
+		}
+	}
+}

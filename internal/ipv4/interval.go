@@ -48,15 +48,28 @@ func (iv Interval) String() string {
 //
 // Sets support membership tests in O(log n), size queries in O(1) after
 // normalization, and rank/select so that a uniform random address inside the
-// set can be drawn in O(log n). Worm hit-lists, darknet sensor geometries,
-// and filtering policies are all represented as Sets.
+// set can be drawn in O(log n). Once frozen, a set of many intervals answers
+// most misses with one bit test of a /16 occupancy bitmap. Worm hit-lists,
+// darknet sensor geometries, and filtering policies are all represented as
+// Sets.
 type Set struct {
 	ivs    []Interval
 	dirty  bool
 	size   uint64 // valid when !dirty
 	ranks  []uint64
 	ranked bool
+	// occ, built with ranks when the set has at least occMinIntervals
+	// intervals, has bit n set for each /16 n the set meets, over the
+	// words from occBase (/16 n is bit n&63 of word n>>6 - occBase). Nil
+	// whenever ranks are stale.
+	occ     []uint64
+	occBase uint32
 }
+
+// occMinIntervals is the interval count from which a frozen set keeps a
+// /16 occupancy bitmap: below it the binary search takes at most three
+// steps, and a small per-component sensor set should cost no memory.
+const occMinIntervals = 8
 
 // NewSet builds a set from arbitrary intervals (they may overlap).
 func NewSet(ivs ...Interval) *Set {
@@ -86,6 +99,7 @@ func (s *Set) AddInterval(iv Interval) {
 	s.ivs = append(s.ivs, iv)
 	s.dirty = true
 	s.ranked = false
+	s.occ = nil
 }
 
 // AddPrefix inserts every address of p into s.
@@ -127,8 +141,29 @@ func (s *Set) normalize() {
 // Contains reports whether a is a member of s.
 func (s *Set) Contains(a Addr) bool {
 	s.normalize()
-	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi >= a })
-	return i < len(s.ivs) && s.ivs[i].Contains(a)
+	if s.occ != nil {
+		n := a.Slash16()
+		if w := n>>6 - s.occBase; w >= uint32(len(s.occ)) || s.occ[w]&(1<<(n&63)) == 0 {
+			return false
+		}
+	}
+	i := s.search(a)
+	return i < len(s.ivs) && s.ivs[i].Lo <= a
+}
+
+// search returns the index of the first interval whose Hi is at least a,
+// or len(s.ivs) if there is none. s must be normalized.
+func (s *Set) search(a Addr) int {
+	lo, hi := 0, len(s.ivs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.ivs[mid].Hi < a {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Size returns the number of addresses in s.
@@ -160,11 +195,21 @@ func (s *Set) buildRanks() {
 	for i, iv := range s.ivs {
 		s.ranks[i+1] = s.ranks[i] + iv.Len()
 	}
+	if len(s.ivs) >= occMinIntervals {
+		s.occBase = s.ivs[0].Lo.Slash16() >> 6
+		s.occ = make([]uint64, s.ivs[len(s.ivs)-1].Hi.Slash16()>>6-s.occBase+1)
+		for _, iv := range s.ivs {
+			for n := iv.Lo.Slash16(); n <= iv.Hi.Slash16(); n++ {
+				s.occ[n>>6-s.occBase] |= 1 << (n & 63)
+			}
+		}
+	}
 	s.ranked = true
 }
 
-// Freeze pre-computes every lazily built index (interval normalization and
-// the Select/Rank cumulative-size table). Sets build their indexes on first
+// Freeze pre-computes every lazily built index (interval normalization,
+// the Select/Rank cumulative-size table and the /16 occupancy bitmap that
+// Contains consults). Sets build their indexes on first
 // use, which is a hidden write: a set shared by concurrent readers must be
 // frozen first — while still on a single goroutine — after which Contains,
 // Size, Select, Rank, and IntersectInterval are read-only and safe to call
@@ -185,7 +230,7 @@ func (s *Set) Select(i uint64) Addr {
 // Rank returns the number of set members strictly less than a.
 func (s *Set) Rank(a Addr) uint64 {
 	s.buildRanks()
-	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi >= a })
+	i := s.search(a)
 	if i == len(s.ivs) {
 		return s.size
 	}

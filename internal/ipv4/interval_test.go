@@ -1,6 +1,7 @@
 package ipv4
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -221,4 +222,121 @@ func TestSetCloneIsIndependent(t *testing.T) {
 	if !b.Contains(100) || !b.Contains(3) {
 		t.Error("clone lost members")
 	}
+}
+
+// TestSetContainsFrozenMatchesScan checks the frozen set's /16 occupancy
+// bitmap against a scan of the intervals the set was built from, on sets
+// whose intervals straddle /16 boundaries, cover a whole /8, touch both
+// ends of the address space, or are added after Freeze.
+func TestSetContainsFrozenMatchesScan(t *testing.T) {
+	r := rng.NewXoshiro(77)
+	// straddle builds n intervals, each crossing the /16 boundary above a
+	// random /16.
+	straddle := func(n int) []Interval {
+		var ivs []Interval
+		for range n {
+			edge := Addr(r.Uint64n(1<<16-1)+1) << 16
+			ivs = append(ivs, Interval{Lo: edge - Addr(1+r.Uint64n(300)), Hi: edge + Addr(r.Uint64n(300))})
+		}
+		return ivs
+	}
+	slash24s := func(n int) []Interval {
+		var ivs []Interval
+		for range n {
+			lo := MustParsePrefix("20.0.0.0/8").Nth(r.Uint64n(1<<24) &^ 0xff)
+			ivs = append(ivs, Interval{Lo: lo, Hi: lo | 0xff})
+		}
+		return ivs
+	}
+	cases := []struct {
+		name  string
+		ivs   []Interval
+		added []Interval // added after Freeze
+	}{
+		{name: "straddle", ivs: straddle(40)},
+		{name: "whole-slash8", ivs: append(slash24s(20), MustParsePrefix("44.0.0.0/8").Range())},
+		{name: "ends", ivs: append(straddle(10),
+			Interval{Lo: 0, Hi: 70000}, Interval{Lo: MaxAddr - 70000, Hi: MaxAddr})},
+		{name: "single-addresses", ivs: []Interval{{0, 0}, {MaxAddr, MaxAddr}, {1<<16 + 1, 1<<16 + 1},
+			{1<<16 - 2, 1<<16 - 2}, {5 << 16, 5 << 16}, {9<<16 + 9, 9<<16 + 9}, {1 << 31, 1 << 31}, {3 << 30, 3 << 30}}},
+		{name: "add-after-freeze", ivs: slash24s(30), added: []Interval{
+			MustParsePrefix("99.5.0.0/16").Range(), {Lo: MaxAddr, Hi: MaxAddr}, {Lo: 0, Hi: 0}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSet(tc.ivs...)
+			s.Freeze()
+			if s.occ == nil {
+				t.Fatalf("a frozen set of %d intervals has no occupancy bitmap", len(s.ivs))
+			}
+			all := tc.ivs
+			if tc.added != nil {
+				for _, iv := range tc.added {
+					s.AddInterval(iv)
+				}
+				all = append(append([]Interval{}, tc.ivs...), tc.added...)
+			}
+			scan := func(a Addr) bool {
+				for _, iv := range all {
+					if iv.Contains(a) {
+						return true
+					}
+				}
+				return false
+			}
+			queries := []Addr{0, 1, MaxAddr - 1, MaxAddr}
+			for _, iv := range all {
+				for _, a := range []Addr{iv.Lo - 1, iv.Lo, iv.Hi, iv.Hi + 1,
+					iv.Lo&^0xffff - 1, iv.Lo &^ 0xffff, iv.Hi | 0xffff, iv.Hi | 0xffff + 1} {
+					queries = append(queries, a)
+				}
+				queries = append(queries, iv.Lo+Addr(r.Uint64n(iv.Len())))
+			}
+			for range 20000 {
+				queries = append(queries, Addr(r.Uint64n(1<<32)))
+			}
+			for _, a := range queries {
+				if got, want := s.Contains(a), scan(a); got != want {
+					t.Fatalf("Contains(%v) = %v, scan says %v", a, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestSetFrozenConcurrentReads queries one frozen set, /16 bitmap
+// included, from several goroutines at once. Under -race it pins the
+// Freeze contract for the bitmap: after Freeze, Contains and Rank only
+// read.
+func TestSetFrozenConcurrentReads(t *testing.T) {
+	var ivs []Interval
+	for i := range 40 {
+		lo := Addr(i)<<22 | Addr(i)<<8
+		ivs = append(ivs, Interval{Lo: lo, Hi: lo + 300})
+	}
+	s := NewSet(ivs...)
+	s.Freeze()
+	r := rng.NewXoshiro(9)
+	queries := make([]Addr, 5000)
+	for i := range queries {
+		queries[i] = Addr(r.Uint64n(uint64(41) << 22))
+	}
+	want := make([]bool, len(queries))
+	for i, a := range queries {
+		want[i] = s.Contains(a)
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, a := range queries {
+				if s.Contains(a) != want[i] || s.Rank(a) > s.Size() {
+					t.Errorf("concurrent read of %v disagrees with the serial one", a)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -64,6 +64,7 @@ func checkCanonical(t *testing.T, p *Population) {
 	if len(hosts) != p.Size() || len(all) != p.Size() {
 		t.Fatalf("Hosts %d, Addrs(false) %d, Size %d", len(hosts), len(all), p.Size())
 	}
+	x := NewIndex(p)
 	at := 0
 	region := func(site int) {
 		addrs, lo := p.Region(site)
@@ -82,13 +83,13 @@ func checkCanonical(t *testing.T, p *Population) {
 			if hosts[id] != want || all[id] != a {
 				t.Fatalf("id %d: Hosts %+v, Addrs(false) %v, Region(%d) %+v", id, hosts[id], all[id], site, want)
 			}
-			ids := p.Lookup(a)
+			ids := lookup(x, a)
 			if !slices.Contains(ids, id) {
-				t.Fatalf("Lookup(%v) = %v misses id %d", a, ids, id)
+				t.Fatalf("index lookup of %v = %v misses id %d", a, ids, id)
 			}
 			for _, j := range ids {
 				if p.Host(j).Addr != a {
-					t.Fatalf("Lookup(%v) returned id %d holding %v", a, j, p.Host(j).Addr)
+					t.Fatalf("index lookup of %v returned id %d holding %v", a, j, p.Host(j).Addr)
 				}
 			}
 		}

@@ -18,8 +18,9 @@
 // hosts by ascending address, then each NAT site as one contiguous block,
 // sites in ascending id order, each sorted by private address. A host's id
 // is its position in that order, so Synthesize and AssignNAT fix which
-// host an id names, and Region hands out a site's (or the public hosts')
-// id range together with its sorted addresses.
+// host an id names, Region hands out a site's (or the public hosts')
+// id range together with its sorted addresses, and NewIndex resolves an
+// address back to ids.
 package population
 
 import (
@@ -29,7 +30,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/ipv4"
 	"repro/internal/rng"
@@ -37,6 +37,9 @@ import (
 
 // NoSite marks a host that is publicly addressed rather than NAT'd.
 const NoSite = -1
+
+// natSpace is the private network AssignNAT draws every NAT'd address from.
+var natSpace = ipv4.MustParsePrefix("192.168.0.0/16")
 
 // Host is one vulnerable host.
 type Host struct {
@@ -103,18 +106,6 @@ type Population struct {
 	public int         // hosts [0, public) are public
 	site   []int32     // site[i] is the site of NAT'd host public+i
 	sites  int
-	idx    *addrIndex // swapped wholesale whenever hosts mutate
-}
-
-// addrIndex is the lazily built own-address → host-id map. At internet
-// scale the map costs gigabytes and most workloads (the fast driver in
-// particular) never call Lookup, so it is built on first use — under a
-// sync.Once, because the exact driver's phase-1 workers Lookup
-// concurrently. Mutation replaces the whole index rather than resetting
-// the Once.
-type addrIndex struct {
-	once sync.Once
-	m    map[ipv4.Addr][]int // private addrs collide across sites
 }
 
 // Synthesize builds a population per cfg.
@@ -190,7 +181,7 @@ func Synthesize(cfg Config) (*Population, error) {
 		}
 		touched = [16]uint64{}
 	}
-	return &Population{addrs: addrs, public: len(addrs), idx: &addrIndex{}}, nil
+	return &Population{addrs: addrs, public: len(addrs)}, nil
 }
 
 // InternetScale returns a configuration for populations far beyond the
@@ -440,21 +431,6 @@ func (p *Population) Region(site int) (addrs []ipv4.Addr, lo int) {
 	return p.addrs[lo:hi:hi], lo
 }
 
-// Lookup returns the ids of hosts whose own-address equals addr. Multiple
-// ids occur only for private addresses reused across NAT sites. The
-// backing index is built on first call (safe under concurrent Lookups).
-func (p *Population) Lookup(addr ipv4.Addr) []int {
-	idx := p.idx
-	idx.once.Do(func() {
-		m := make(map[ipv4.Addr][]int, len(p.addrs))
-		for i, a := range p.addrs {
-			m[a] = append(m[a], i)
-		}
-		idx.m = m
-	})
-	return idx.m[addr]
-}
-
 // Sites returns the number of NAT site ids issued.
 func (p *Population) Sites() int { return p.sites }
 
@@ -487,23 +463,24 @@ func (p *Population) AssignNAT(fraction float64, hostsPerSite int, seed uint64) 
 	sort.Ints(chosen)
 	// The chosen hosts, in id order, fill sites of hostsPerSite; each draws
 	// a private address not yet used in its site.
-	private := ipv4.MustParsePrefix("192.168.0.0/16")
 	natAddrs := make([]ipv4.Addr, n)
 	natSite := make([]int32, n)
-	used := make(map[ipv4.Addr]bool, hostsPerSite)
+	// used marks the offsets into 192.168/16 drawn in the current site; a
+	// new site unmarks the previous site's addresses.
+	var used [1 << 16 / 64]uint64
 	for i := range natAddrs {
-		if i%hostsPerSite == 0 {
-			clear(used)
-		}
-		var a ipv4.Addr
-		for {
-			a = private.Nth(r.Uint64n(private.NumAddrs()))
-			if !used[a] {
-				used[a] = true
-				break
+		if i > 0 && i%hostsPerSite == 0 {
+			for _, a := range natAddrs[i-hostsPerSite : i] {
+				off := a - natSpace.First()
+				used[off>>6] &^= 1 << (off & 63)
 			}
 		}
-		natAddrs[i] = a
+		off := r.Uint64n(natSpace.NumAddrs())
+		for used[off>>6]&(1<<(off&63)) != 0 {
+			off = r.Uint64n(natSpace.NumAddrs())
+		}
+		used[off>>6] |= 1 << (off & 63)
+		natAddrs[i] = natSpace.Nth(off)
 		natSite[i] = int32(p.sites + i/hostsPerSite)
 	}
 	for lo := 0; lo < n; lo += hostsPerSite {
@@ -531,7 +508,6 @@ func (p *Population) AssignNAT(fraction float64, hostsPerSite int, seed uint64) 
 	p.site = append(site, natSite...)
 	p.public = public
 	p.sites += (n + hostsPerSite - 1) / hostsPerSite
-	p.idx = &addrIndex{}
 	return nil
 }
 

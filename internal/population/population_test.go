@@ -57,13 +57,12 @@ func TestSynthesizeMatchesPaperStatistics(t *testing.T) {
 	if !found {
 		t.Error("192/8 not populated")
 	}
-	// All addresses distinct and unreserved.
-	seen := make(map[ipv4.Addr]bool, p.Size())
-	for _, h := range p.Hosts() {
-		if seen[h.Addr] {
-			t.Fatalf("duplicate address %v", h.Addr)
+	// All addresses distinct (canonical order ascends) and unreserved.
+	hosts := p.Hosts()
+	for i, h := range hosts {
+		if i > 0 && h.Addr <= hosts[i-1].Addr {
+			t.Fatalf("address %v at id %d not above %v: duplicate or out of order", h.Addr, i, hosts[i-1].Addr)
 		}
-		seen[h.Addr] = true
 		if h.Addr.IsReserved() || h.Addr.IsLoopback() {
 			t.Fatalf("reserved address %v in population", h.Addr)
 		}
@@ -171,9 +170,9 @@ func TestAssignNAT(t *testing.T) {
 		t.Errorf("Sites() = %d, want %d", p.Sites(), len(siteSizes))
 	}
 
-	// Lookup resolves private addresses to all hosts sharing them.
-	h0 := p.Hosts()[0]
-	ids := p.Lookup(h0.Addr)
+	// The index resolves a private address to every host sharing it.
+	h0 := p.Host(p.Size() - 1)
+	ids := lookup(NewIndex(p), h0.Addr)
 	found := false
 	for _, id := range ids {
 		if p.Host(id) == h0 {
@@ -181,7 +180,7 @@ func TestAssignNAT(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Error("Lookup lost a host")
+		t.Error("index lookup lost a host")
 	}
 }
 

@@ -275,6 +275,10 @@ func RunExact(cfg ExactConfig) (*Result, error) {
 	}
 	pop := cfg.Pop
 	n := pop.Size()
+	// Built per run, not cached on the population: the fast driver never
+	// resolves addresses, and the index is immutable, so the phase-1
+	// workers share it without locks.
+	idx := population.NewIndex(pop)
 	l := cfg.params().loop("exact", "exact")
 	if cfg.SensorSet != nil {
 		// ipv4.Set builds its indexes lazily on first read. Freeze it now so
@@ -341,12 +345,12 @@ func RunExact(cfg ExactConfig) (*Result, error) {
 					}
 					blocked := false
 					nv := int32(0)
-					for _, vid := range pop.Lookup(dst) {
+					for _, vid := range idx.Private(dst) {
 						if infected[vid] {
 							continue
 						}
-						if netenv.CanReach(a.src, pop.Host(vid)) {
-							w.victims = append(w.victims, int32(vid))
+						if netenv.CanReach(a.src, pop.Host(int(vid))) {
+							w.victims = append(w.victims, vid)
 							nv++
 						} else {
 							blocked = true
@@ -388,11 +392,9 @@ func RunExact(cfg ExactConfig) (*Result, error) {
 					w.hits = append(w.hits, exactHit{src: a.src.Addr, dst: dst})
 				}
 				nv := int32(0)
-				for _, vid := range pop.Lookup(dst) {
-					if !infected[vid] && netenv.CanReach(a.src, pop.Host(vid)) {
-						w.victims = append(w.victims, int32(vid))
-						nv++
-					}
+				if vid, ok := idx.Public(dst); ok && !infected[vid] && netenv.CanReach(a.src, pop.Host(vid)) {
+					w.victims = append(w.victims, int32(vid))
+					nv++
 				}
 				fb := OutcomeDelivered
 				switch {
