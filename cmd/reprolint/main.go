@@ -10,7 +10,8 @@
 // A pattern is a directory, or a directory followed by /... to include
 // everything below it; the default is ./... . The exit status is 0 when
 // the tree is clean, 1 when there are findings, and 2 on usage or parse
-// errors.
+// errors. A tree that does not type-check reports each type error as a
+// finding with rule "typecheck", and no other rule runs on it.
 //
 // Findings are suppressed with a justified directive attached to the
 // offending statement (on its line, or the line directly above):

@@ -67,6 +67,20 @@ func TestRunObsClockFixtureIsClean(t *testing.T) {
 	}
 }
 
+func TestRunTypeErrorExitsOne(t *testing.T) {
+	var out strings.Builder
+	code, err := run([]string{"testdata/broken"}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 1 {
+		t.Fatalf("exit code = %d, want 1\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "testdata/broken/broken.go:5: typecheck: undefined: undefinedDivisor") {
+		t.Errorf("output lacks the typecheck finding:\n%s", out.String())
+	}
+}
+
 func TestRunNonRecursivePatternSkipsSubdirs(t *testing.T) {
 	var out strings.Builder
 	// testdata/src itself has no Go files; without /... the violations in

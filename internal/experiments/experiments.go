@@ -129,6 +129,7 @@ func Downsample(s Series, n int) Series {
 		out.Y = append(out.Y, s.Y[i])
 	}
 	last := len(s.X) - 1
+	//lint:ignore float-eq out.X holds copies of s.X elements, so != asks exactly whether the last point was already kept
 	if out.X[len(out.X)-1] != s.X[last] {
 		out.X = append(out.X, s.X[last])
 		out.Y = append(out.Y, s.Y[last])

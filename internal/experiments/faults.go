@@ -260,6 +260,7 @@ func RunExtFaults(cfg ExtFaultsConfig) (*Result, error) {
 	for _, b := range cfg.BurstLosses {
 		series := Series{Name: fmt.Sprintf("burst loss %g", b)}
 		for _, o := range outcomes {
+			//lint:ignore float-eq o.Burst was copied from this same cfg.BurstLosses entry, so == selects exactly its outcomes
 			if o.Burst != b {
 				continue
 			}

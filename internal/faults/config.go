@@ -135,6 +135,7 @@ func (c *Config) Validate() error {
 		if (o.MeanUp > 0) != (o.MeanDown > 0) {
 			return fmt.Errorf("faults: outage %d: flapping needs both mean_up and mean_down", i)
 		}
+		//lint:ignore float-eq a zero MeanUp is the unset flapping dwell and End == Start the empty window the Outage doc defines; a tolerance would accept tiny windows as empty
 		if o.End == o.Start && o.MeanUp == 0 {
 			return fmt.Errorf("faults: outage %d: neither a scheduled window nor flapping dwell times", i)
 		}

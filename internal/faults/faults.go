@@ -340,6 +340,7 @@ func (rep *Reporter) Report(src, dst ipv4.Addr) {
 	for i := 0; i < n; i++ {
 		rep.queue = append(rep.queue, report{src: src, dst: dst, due: rep.now + rep.delay})
 	}
+	//lint:ignore float-eq a zero Delay is the configured deliver-now setting, copied unchanged from ReportConfig, never a computed value
 	if rep.delay == 0 {
 		rep.flushDue()
 	}

@@ -53,14 +53,16 @@ type Edge struct {
 
 // Name renders the node as "pkgRel.Func" or "pkgRel.(Type).Method".
 func (n *FuncNode) Name() string {
-	if recv := n.Decl.Recv; recv != nil && len(recv.List) > 0 {
-		t := recv.List[0].Type
-		if star, ok := t.(*ast.StarExpr); ok {
-			t = star.X
+	if recv := n.Obj.Type().(*types.Signature).Recv(); recv != nil {
+		t := recv.Type()
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
 		}
-		return n.Pkg.Rel + ".(" + typeString(t) + ")." + n.Decl.Name.Name
+		if named, ok := t.(*types.Named); ok {
+			return n.Pkg.Rel + ".(" + named.Obj().Name() + ")." + n.Obj.Name()
+		}
 	}
-	return n.Pkg.Rel + "." + n.Decl.Name.Name
+	return n.Pkg.Rel + "." + n.Obj.Name()
 }
 
 // CallGraph is the module-wide graph.
@@ -86,9 +88,6 @@ func (prog *Program) CallGraph() *CallGraph {
 
 	// Pass 1: nodes for every declared function with a body.
 	for _, pkg := range prog.Packages {
-		if pkg.TypesInfo == nil {
-			continue
-		}
 		for _, file := range pkg.Files {
 			if file.Test {
 				continue
@@ -114,9 +113,6 @@ func (prog *Program) CallGraph() *CallGraph {
 	// funcs passed as arguments).
 	taken := make(map[*FuncNode]bool)
 	for _, pkg := range prog.Packages {
-		if pkg.TypesInfo == nil {
-			continue
-		}
 		for _, file := range pkg.Files {
 			if file.Test {
 				continue

@@ -183,7 +183,7 @@ func nondetSources(prog *Program, n *FuncNode) []ndSource {
 			if file.Deterministic(line(s)) {
 				return true
 			}
-			if isMapRange(pkg, body, s) {
+			if isMapRange(pkg, s) {
 				if issues := mapRangeIssues(pkg, s.Body, rangeIterVars(s), s.End(), body); len(issues) > 0 {
 					out = append(out, ndSource{node: s, msg: "map iteration order leaks (" + issues[0].msg + ")"})
 				}
@@ -229,21 +229,11 @@ func callSource(pkg *Package, file *File, call *ast.CallExpr, line int) string {
 			case path == "time" && wallclockFuncs[sel.Sel.Name]:
 				return "wall-clock dependence via time." + sel.Sel.Name
 			}
-		} else if pkg.TypesInfo == nil {
-			// Syntactic fallback when type information is missing.
-			for _, p := range []string{"math/rand", "math/rand/v2", "crypto/rand"} {
-				if importName(file.AST, p) == id.Name {
-					return "unseeded randomness from " + p + "." + sel.Sel.Name
-				}
-			}
-			if importName(file.AST, "time") == id.Name && wallclockFuncs[sel.Sel.Name] {
-				return "wall-clock dependence via time." + sel.Sel.Name
-			}
 		}
 	}
 	// sync.Map iteration: (*sync.Map).Range.
 	if sel.Sel.Name == "Range" {
-		if t := pkg.TypeOf(sel.X); t != nil && isSyncMap(t) {
+		if isSyncType(pkg.TypeOf(sel.X), "Map") {
 			return "sync.Map iteration order leaks"
 		}
 	}
@@ -252,15 +242,12 @@ func callSource(pkg *Package, file *File, call *ast.CallExpr, line int) string {
 
 // isChanRange reports whether rs ranges over a channel.
 func isChanRange(pkg *Package, rs *ast.RangeStmt) bool {
-	if t := pkg.TypeOf(rs.X); t != nil {
-		_, ok := t.Underlying().(*types.Chan)
-		return ok
-	}
-	return false
+	_, ok := pkg.TypeOf(rs.X).Underlying().(*types.Chan)
+	return ok
 }
 
-// isSyncMap reports whether t is sync.Map or *sync.Map.
-func isSyncMap(t types.Type) bool {
+// isSyncType reports whether t is sync.<name> or a pointer to it.
+func isSyncType(t types.Type, name string) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
@@ -269,5 +256,5 @@ func isSyncMap(t types.Type) bool {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Map"
+	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == name
 }

@@ -3,212 +3,43 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
-// FloatEq flags == and != between floating-point expressions outside test
-// files. Exact float comparison is almost always a latent bug in the
-// statistics pipeline; the rare legitimate exact checks (rejection
-// sampling, comparing against a value produced by exact integer sums) take
-// a //lint:ignore with the justification spelled out.
+// FloatEq flags == and != where either operand's type has a
+// floating-point underlying type, outside test files. Exact float
+// comparison is almost always a latent bug in the statistics pipeline;
+// the rare legitimate exact checks (a zero that means "unset", a sort
+// tie-break, bit-exact oracle identity) take a //lint:ignore with the
+// justification spelled out.
 var FloatEq = &Analyzer{
 	Name: "float-eq",
 	Doc:  "== / != between floating-point expressions; compare with a tolerance",
 	Run:  runFloatEq,
 }
 
-// mathFloatFuncs are math-package functions with a single float64 result.
-var mathFloatFuncs = map[string]bool{
-	"Abs": true, "Ceil": true, "Copysign": true, "Cbrt": true, "Dim": true,
-	"Exp": true, "Exp2": true, "Expm1": true, "Floor": true, "Hypot": true,
-	"Inf": true, "Log": true, "Log10": true, "Log1p": true, "Log2": true,
-	"Max": true, "Min": true, "Mod": true, "NaN": true, "Pow": true,
-	"Remainder": true, "Round": true, "RoundToEven": true, "Sqrt": true,
-	"Trunc": true, "Sin": true, "Cos": true, "Tan": true, "Atan": true,
-	"Atan2": true, "Asin": true, "Acos": true, "Gamma": true, "Erf": true,
-	"Erfc": true,
-}
-
-// mathFloatConsts are math-package floating-point constants.
-var mathFloatConsts = map[string]bool{
-	"Pi": true, "E": true, "Phi": true, "Sqrt2": true, "SqrtE": true,
-	"SqrtPi": true, "SqrtPhi": true, "Ln2": true, "Log2E": true,
-	"Ln10": true, "Log10E": true, "MaxFloat64": true, "MaxFloat32": true,
-	"SmallestNonzeroFloat64": true, "SmallestNonzeroFloat32": true,
-}
-
-func isFloatType(s string) bool { return s == "float64" || s == "float32" }
-
 func runFloatEq(pass *Pass) {
 	if pass.File.Test {
 		return
 	}
-	pkgFloats := make(map[string]bool)
-	for _, decl := range pass.File.AST.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			collectFloatSpec(vs, pkgFloats, nil, "")
-		}
-	}
-	for _, decl := range pass.File.AST.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		checkFuncFloatEq(pass, fd, pkgFloats)
-	}
-}
-
-// checkFuncFloatEq runs the per-function float inference and then flags
-// float equality comparisons in the body.
-func checkFuncFloatEq(pass *Pass, fd *ast.FuncDecl, pkgFloats map[string]bool) {
-	mathName := importName(pass.File.AST, "math")
-	vars := make(map[string]bool)
-	for name, ok := range pkgFloats {
-		vars[name] = ok
-	}
-	for _, fields := range []*ast.FieldList{fd.Recv, fd.Type.Params, fd.Type.Results} {
-		if fields == nil {
-			continue
-		}
-		for _, field := range fields.List {
-			if !isFloatType(typeString(field.Type)) {
-				continue
-			}
-			for _, name := range field.Names {
-				vars[name.Name] = true
-			}
-		}
-	}
-	// Two inference passes over the body so a name assigned from another
-	// float local later in the source still resolves; shadowing is
-	// deliberately ignored (this is a lint heuristic, not a type checker).
-	for i := 0; i < 2; i++ {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.ValueSpec:
-				collectFloatSpec(s, vars, pass, mathName)
-			case *ast.AssignStmt:
-				if len(s.Lhs) != len(s.Rhs) {
-					return true
-				}
-				for j, lhs := range s.Lhs {
-					id, ok := lhs.(*ast.Ident)
-					if !ok {
-						continue
-					}
-					if floatish(pass, s.Rhs[j], vars, mathName) {
-						vars[id.Name] = true
-					}
-				}
-			case *ast.RangeStmt:
-				// range over a float slice is invisible to this pass; the
-				// common sources (literals, conversions, math calls) are
-				// what matter.
-				_ = s
-			}
-			return true
-		})
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(pass.File.AST, func(n ast.Node) bool {
 		be, ok := n.(*ast.BinaryExpr)
 		if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
 			return true
 		}
-		if floatish(pass, be.X, vars, mathName) || floatish(pass, be.Y, vars, mathName) {
+		if isFloat(pass.Package.TypeOf(be.X)) || isFloat(pass.Package.TypeOf(be.Y)) {
 			pass.Report(be, "floating-point %s comparison; use a tolerance (e.g. math.Abs(a-b) <= eps) or justify with //lint:ignore", be.Op)
 		}
 		return true
 	})
 }
 
-// collectFloatSpec marks names declared float by a var/const spec, either
-// via an explicit float type or via floatish initializer expressions.
-func collectFloatSpec(vs *ast.ValueSpec, vars map[string]bool, pass *Pass, mathName string) {
-	if vs.Type != nil {
-		if isFloatType(typeString(vs.Type)) {
-			for _, name := range vs.Names {
-				vars[name.Name] = true
-			}
-		}
-		return
-	}
-	if len(vs.Values) != len(vs.Names) {
-		return
-	}
-	for i, name := range vs.Names {
-		if floatish(pass, vs.Values[i], vars, mathName) {
-			vars[name.Name] = true
-		}
-	}
-}
-
-// floatish reports whether e is syntactically known to be floating point:
-// float literals, float32/float64 conversions, math package calls and
-// constants, identifiers inferred float, single-float-result functions and
-// methods from the program index, and arithmetic over any of those.
-func floatish(pass *Pass, e ast.Expr, vars map[string]bool, mathName string) bool {
-	switch x := e.(type) {
-	case *ast.BasicLit:
-		return x.Kind == token.FLOAT
-	case *ast.Ident:
-		return vars[x.Name]
-	case *ast.ParenExpr:
-		return floatish(pass, x.X, vars, mathName)
-	case *ast.UnaryExpr:
-		return floatish(pass, x.X, vars, mathName)
-	case *ast.BinaryExpr:
-		switch x.Op {
-		case token.ADD, token.SUB, token.MUL, token.QUO:
-			return floatish(pass, x.X, vars, mathName) || floatish(pass, x.Y, vars, mathName)
-		}
+// isFloat reports whether t's underlying type is a floating-point basic
+// type (typed or untyped).
+func isFloat(t types.Type) bool {
+	if t == nil {
 		return false
-	case *ast.SelectorExpr:
-		if id, ok := x.X.(*ast.Ident); ok && mathName != "" && id.Name == mathName {
-			return mathFloatConsts[x.Sel.Name]
-		}
-		return false
-	case *ast.CallExpr:
-		return callReturnsFloat(pass, x, mathName)
 	}
-	return false
-}
-
-// callReturnsFloat reports whether a call syntactically yields a float:
-// an explicit conversion, a math function, or a loaded function/method
-// whose every same-name declaration has a single float result.
-func callReturnsFloat(pass *Pass, call *ast.CallExpr, mathName string) bool {
-	singleFloat := func(results []string) bool {
-		return len(results) == 1 && isFloatType(results[0])
-	}
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		if isFloatType(fn.Name) {
-			return true
-		}
-		if pass == nil {
-			return false
-		}
-		return singleFloat(pass.Program.FuncResults(pass.File.AST.Name.Name, fn.Name))
-	case *ast.SelectorExpr:
-		if id, ok := fn.X.(*ast.Ident); ok {
-			if mathName != "" && id.Name == mathName {
-				return mathFloatFuncs[fn.Sel.Name]
-			}
-			if pass != nil && singleFloat(pass.Program.FuncResults(id.Name, fn.Sel.Name)) {
-				return true
-			}
-		}
-		if pass == nil {
-			return false
-		}
-		return pass.Program.MethodAlwaysReturns(fn.Sel.Name, singleFloat)
-	}
-	return false
+	basic, ok := t.Underlying().(*types.Basic)
+	return ok && basic.Info()&types.IsFloat != 0
 }

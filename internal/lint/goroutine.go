@@ -6,10 +6,14 @@ import (
 )
 
 // GoroutineCapture flags writes inside a `go func` literal to a map
-// declared outside it, with no Lock call anywhere in the body to suggest
-// synchronization — a race that -race only catches when the schedule
-// cooperates. (Loop-variable capture needs no rule: since Go 1.22, which
-// go.mod requires, every loop iteration declares fresh variables.)
+// declared outside it — a local of the enclosing function or one of its
+// map-typed parameters — with no Lock call anywhere in the body to suggest
+// synchronization: a race that -race only catches when the schedule
+// cooperates. The rule is syntactic because it also lints _test.go files,
+// which the typed layer does not check, so maps reached through struct
+// fields are out of its reach. (Loop-variable capture needs no rule: since
+// Go 1.22, which go.mod requires, every loop iteration declares fresh
+// variables.)
 var GoroutineCapture = &Analyzer{
 	Name: "goroutine-capture",
 	Doc:  "unsynchronized shared-map writes in go func literals",
@@ -23,6 +27,13 @@ func runGoroutineCapture(pass *Pass) {
 			continue
 		}
 		mapVars := collectMapVars(fd.Body)
+		for _, field := range fd.Type.Params.List {
+			if _, ok := field.Type.(*ast.MapType); ok {
+				for _, name := range field.Names {
+					mapVars[name.Name] = true
+				}
+			}
+		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
 			if !ok {

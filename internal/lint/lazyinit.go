@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 )
 
 // LazyInit flags unsynchronized lazy-initialization (memoization) on
@@ -139,26 +138,11 @@ func synchronized(body *ast.BlockStmt, pkg *Package) bool {
 		case "Lock", "RLock":
 			found = true
 		case "Do":
-			if t := pkg.TypeOf(sel.X); t != nil {
-				if named, ok := derefType(t).(*types.Named); ok {
-					obj := named.Obj()
-					found = found || (obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Once")
-				}
-			} else {
-				found = true // no type info: assume a Once
-			}
+			found = found || isSyncType(pkg.TypeOf(sel.X), "Once")
 		}
 		return !found
 	})
 	return found
-}
-
-// derefType strips one pointer.
-func derefType(t types.Type) types.Type {
-	if p, ok := t.(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
 }
 
 // lazyGuard is one detected lazy-init pattern.

@@ -5,12 +5,12 @@
 // with ==, goroutines do not race on captured state, errors are not
 // silently dropped, and seeds are never hard-coded outside tests.
 //
-// The framework deliberately uses only go/ast, go/parser and go/token — no
-// type checker, no external modules — so the repo stays zero-dependency.
-// Analyzers are therefore syntactic and heuristic: they lean on a
-// program-wide index of declared function signatures (see load.go) where
-// resolution is needed, and they accept explicit suppressions where the
-// heuristic is wrong:
+// The framework uses only the standard library — go/ast for syntax and
+// go/types for every type it resolves (types.go) — so the repo stays
+// zero-dependency. Run type-checks the tree first and reports each type
+// error as a rule "typecheck" finding: analyzers never guess a type. Where
+// a rule is wrong about a deliberate construct, an explicit suppression
+// says why:
 //
 //	//lint:ignore <rule> <reason>
 //
@@ -106,11 +106,19 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
-// Run applies the given analyzers to every file of prog and returns the
-// findings sorted by file, line, and rule. Malformed ignore directives
-// found at load time are included.
+// Run type-checks prog, applies the given analyzers to every file, and
+// returns the findings sorted by file, line, and rule. Malformed ignore
+// directives found at load time are included. A tree that does not
+// type-check yields its type errors (rule "typecheck") instead of the
+// analyzers' findings: the analyzers read types, and a partial check
+// would leave them holes to guess across.
 func Run(prog *Program, analyzers []*Analyzer) []Finding {
+	prog.Check()
 	findings := append([]Finding(nil), prog.Malformed...)
+	if len(prog.typeErrs) > 0 {
+		findings = append(findings, prog.typeErrs...)
+		analyzers = nil
+	}
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
 			for _, a := range analyzers {
@@ -125,7 +133,7 @@ func Run(prog *Program, analyzers []*Analyzer) []Finding {
 			}
 		}
 	}
-	sort.Slice(findings, func(i, j int) bool {
+	sort.SliceStable(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename

@@ -85,6 +85,11 @@ func TestDeTraceFixture(t *testing.T)          { runFixture(t, DeTrace, "detrace
 func TestLazyInitFixture(t *testing.T)         { runFixture(t, LazyInit, "lazyinit") }
 func TestMapOrderFixture(t *testing.T)         { runFixture(t, MapOrder, "maporder") }
 
+// TestTypeErrorFixture pins strict checking: a tree that does not
+// type-check yields its type error as a "typecheck" finding, and the
+// analyzers (float-eq here) report nothing on it.
+func TestTypeErrorFixture(t *testing.T) { runFixture(t, FloatEq, "typecheck") }
+
 // TestMalformedIgnoreReported pins the justification requirement: an
 // ignore directive without a reason is itself a finding.
 func TestMalformedIgnoreReported(t *testing.T) {

@@ -59,15 +59,15 @@ type Package struct {
 	// Files are the package's files, tests included, in name order.
 	Files []*File
 
-	// Typed layer, populated by Program.Check (nil before then, and
-	// partial when the package does not fully type-check).
+	// Typed layer, populated by Program.Check. TypesInfo is non-nil for
+	// every package once checked; Types is nil for a package of test files
+	// only, which the checker skips.
 	Types     *types.Package
 	TypesInfo *types.Info
-	TypeErrs  []error
 }
 
-// Program is a loaded source tree plus the syntactic signature index and
-// the typed layer (types.go) the interprocedural analyzers build on.
+// Program is a loaded source tree plus the typed layer (types.go) every
+// analyzer that needs a type builds on.
 type Program struct {
 	// Fset positions every loaded file.
 	Fset *token.FileSet
@@ -81,15 +81,10 @@ type Program struct {
 	// the tree stays justified.
 	Malformed []Finding
 
-	// funcResults maps "pkgName.FuncName" to the declared result type
-	// strings of that top-level function.
-	funcResults map[string][]string
-	// methodResults maps a method name to the result lists of every method
-	// with that name anywhere in the program.
-	methodResults map[string][][]string
-
-	// Typed layer (types.go, callgraph.go): built lazily by Check().
+	// Typed layer (types.go, callgraph.go): built by Check(), which Run
+	// calls first. typeErrs holds one rule "typecheck" finding per error.
 	checked     bool
+	typeErrs    []Finding
 	checkedPkgs map[string]*Package
 	importer    *progImporter
 	callgraph   *CallGraph
@@ -120,10 +115,8 @@ func LoadAt(root, modRoot string) (*Program, error) {
 	}
 
 	prog := &Program{
-		Fset:          token.NewFileSet(),
-		ModulePath:    modulePath(modRoot),
-		funcResults:   make(map[string][]string),
-		methodResults: make(map[string][][]string),
+		Fset:       token.NewFileSet(),
+		ModulePath: modulePath(modRoot),
 	}
 
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -184,9 +177,6 @@ func (prog *Program) loadDir(dir, modRoot string) (*Package, error) {
 			Test: strings.HasSuffix(name, "_test.go"),
 		}
 		prog.collectIgnores(file)
-		if !file.Test {
-			prog.indexSignatures(astFile)
-		}
 		if pkg.Name == "" || !file.Test {
 			pkg.Name = astFile.Name.Name
 		}
@@ -316,55 +306,6 @@ func attachSpan(spans []stmtSpan, line int) (lo, hi int, ok bool) {
 	return 0, 0, false
 }
 
-// indexSignatures records the result types of every top-level function and
-// method declaration, keyed as described on Program.
-func (prog *Program) indexSignatures(f *ast.File) {
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Type.Results == nil {
-			continue
-		}
-		var results []string
-		for _, field := range fd.Type.Results.List {
-			n := len(field.Names)
-			if n == 0 {
-				n = 1
-			}
-			for i := 0; i < n; i++ {
-				results = append(results, typeString(field.Type))
-			}
-		}
-		if fd.Recv != nil {
-			prog.methodResults[fd.Name.Name] = append(prog.methodResults[fd.Name.Name], results)
-		} else {
-			prog.funcResults[f.Name.Name+"."+fd.Name.Name] = results
-		}
-	}
-}
-
-// FuncResults returns the declared result types of the top-level function
-// pkgName.funcName, or nil if it was not loaded.
-func (prog *Program) FuncResults(pkgName, funcName string) []string {
-	return prog.funcResults[pkgName+"."+funcName]
-}
-
-// MethodAlwaysReturns reports whether at least one loaded method has the
-// given name and every such method's result list satisfies pred. Lumping
-// methods by bare name is the price of running without a type checker;
-// rules that use this accept occasional suppressions.
-func (prog *Program) MethodAlwaysReturns(name string, pred func(results []string) bool) bool {
-	sigs := prog.methodResults[name]
-	if len(sigs) == 0 {
-		return false
-	}
-	for _, results := range sigs {
-		if !pred(results) {
-			return false
-		}
-	}
-	return true
-}
-
 // modulePath reads the module path out of go.mod at modRoot, or "" when
 // there is none (fixture trees).
 func modulePath(modRoot string) string {
@@ -403,40 +344,5 @@ func findModuleRoot(dir string) string {
 			return dir
 		}
 		probe = parent
-	}
-}
-
-// typeString renders a type expression compactly: enough to recognize
-// "error", "float64", map types, and qualified names.
-func typeString(e ast.Expr) string {
-	switch t := e.(type) {
-	case *ast.Ident:
-		return t.Name
-	case *ast.SelectorExpr:
-		return typeString(t.X) + "." + t.Sel.Name
-	case *ast.StarExpr:
-		return "*" + typeString(t.X)
-	case *ast.ArrayType:
-		return "[]" + typeString(t.Elt)
-	case *ast.MapType:
-		return "map[" + typeString(t.Key) + "]" + typeString(t.Value)
-	case *ast.ChanType:
-		return "chan " + typeString(t.Value)
-	case *ast.FuncType:
-		return "func"
-	case *ast.InterfaceType:
-		return "interface"
-	case *ast.StructType:
-		return "struct"
-	case *ast.Ellipsis:
-		return "..." + typeString(t.Elt)
-	case *ast.IndexExpr:
-		return typeString(t.X)
-	case *ast.IndexListExpr:
-		return typeString(t.X)
-	case *ast.ParenExpr:
-		return typeString(t.X)
-	default:
-		return ""
 	}
 }

@@ -38,9 +38,6 @@ func runMapOrder(pass *Pass) {
 	if pass.File.Test {
 		return
 	}
-	// The rule keys on static types (what is a map, what accumulates
-	// floats); build the typed layer before classifying.
-	pass.Program.Check()
 	for _, decl := range pass.File.AST.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
@@ -49,7 +46,7 @@ func runMapOrder(pass *Pass) {
 		ast.Inspect(fd.Body, func(nd ast.Node) bool {
 			switch s := nd.(type) {
 			case *ast.RangeStmt:
-				if !isMapRange(pass.Package, fd.Body, s) {
+				if !isMapRange(pass.Package, s) {
 					return true
 				}
 				line := pass.Program.Fset.Position(s.Pos()).Line
@@ -63,8 +60,7 @@ func runMapOrder(pass *Pass) {
 				if !ok || sel.Sel.Name != "Range" || len(s.Args) != 1 {
 					return true
 				}
-				t := pass.Package.TypeOf(sel.X)
-				if t == nil || !isSyncMap(t) {
+				if !isSyncType(pass.Package.TypeOf(sel.X), "Map") {
 					return true
 				}
 				line := pass.Program.Fset.Position(s.Pos()).Line

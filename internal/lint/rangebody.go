@@ -265,12 +265,7 @@ func (c *rangeClassifier) scalarTarget(st *ast.AssignStmt, lhs ast.Expr, op toke
 // accumTarget classifies compound accumulation (+=, |=, …) by element type:
 // exact for integers and booleans, order-sensitive for floats and strings.
 func (c *rangeClassifier) accumTarget(st *ast.AssignStmt, lhs ast.Expr, op token.Token) {
-	t := c.pkg.TypeOf(lhs)
-	if t == nil {
-		c.addIssue(st, "assign", "accumulation into "+types.ExprString(lhs)+" inside a map range (untyped; cannot prove order-insensitive)")
-		return
-	}
-	basic, ok := t.Underlying().(*types.Basic)
+	basic, ok := c.pkg.TypeOf(lhs).Underlying().(*types.Basic)
 	if !ok {
 		c.addIssue(st, "assign", "accumulation into "+types.ExprString(lhs)+" inside a map range may depend on iteration order")
 		return
@@ -351,10 +346,8 @@ func (c *rangeClassifier) callEffect(e ast.Expr) {
 	}
 	switch fn := unwrapFun(call.Fun).(type) {
 	case *ast.Ident:
-		if benign, known := benignBuiltins[fn.Name]; known && benign {
-			if obj := c.pkg.ObjectOf(fn); obj == nil || isBuiltin(obj) {
-				return
-			}
+		if benignBuiltins[fn.Name] && isBuiltin(c.pkg.ObjectOf(fn)) {
+			return
 		}
 		if c.isConversion(call) {
 			return
@@ -399,24 +392,9 @@ func (c *rangeClassifier) usePkgPath(sel *ast.SelectorExpr) string {
 	return ""
 }
 
-// isConversion reports whether call is a type conversion (typed check
-// with a syntactic fallback on capitalized single-argument idents that
-// resolve to no object, e.g. fixture trees missing type info).
+// isConversion reports whether call is a type conversion.
 func (c *rangeClassifier) isConversion(call *ast.CallExpr) bool {
-	if c.pkg.TypesInfo != nil {
-		if tv, ok := c.pkg.TypesInfo.Types[call.Fun]; ok {
-			return tv.IsType()
-		}
-	}
-	switch fn := unwrapFun(call.Fun).(type) {
-	case *ast.Ident:
-		switch fn.Name {
-		case "float64", "float32", "int", "int32", "int64", "uint", "uint32",
-			"uint64", "string", "byte", "rune", "bool", "uintptr":
-			return true
-		}
-	}
-	return false
+	return c.pkg.TypesInfo.Types[call.Fun].IsType()
 }
 
 // isBuiltin reports whether obj is a universe builtin.
@@ -476,17 +454,9 @@ func sortedAfter(body *ast.BlockStmt, pos token.Pos, target string) bool {
 	return found
 }
 
-// isMapRange reports whether rs ranges over a map, preferring type
-// information and falling back to the syntactic map-variable heuristic.
-func isMapRange(pkg *Package, fnBody *ast.BlockStmt, rs *ast.RangeStmt) bool {
-	if t := pkg.TypeOf(rs.X); t != nil {
-		_, ok := t.Underlying().(*types.Map)
-		return ok
-	}
-	if id, ok := rs.X.(*ast.Ident); ok && fnBody != nil {
-		return collectMapVars(fnBody)[id.Name]
-	}
-	_, ok := rs.X.(*ast.MapType)
+// isMapRange reports whether rs ranges over a map.
+func isMapRange(pkg *Package, rs *ast.RangeStmt) bool {
+	_, ok := pkg.TypeOf(rs.X).Underlying().(*types.Map)
 	return ok
 }
 

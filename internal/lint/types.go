@@ -8,21 +8,19 @@ import (
 	"strings"
 )
 
-// This file adds the typed layer on top of the syntactic loader: every
-// loaded package can be type-checked with the stdlib checker (go/types),
-// with imports resolved against the loaded tree itself for module-internal
-// packages and against the stdlib source importer (go/importer "source")
-// for everything else. The module stays dependency-free.
+// This file adds the typed layer on top of the loader: every loaded
+// package is type-checked with the stdlib checker (go/types), with imports
+// resolved against the loaded tree itself for module-internal packages and
+// against the stdlib source importer (go/importer "source") for everything
+// else. The module stays dependency-free.
 //
-// Type-checking is deliberately tolerant: fixture trees and mid-refactor
-// code may not fully check, so errors are recorded per package instead of
-// aborting, and analyzers degrade to their syntactic fallbacks where type
-// information is missing.
+// Type-checking is strict: every analyzer that needs a type reads it from
+// this layer, and Run reports each type error as a rule "typecheck"
+// finding, so a tree that does not check never lints silently weaker.
 
 // Check type-checks every loaded package in dependency order (triggered
 // lazily through the importer). It is idempotent; the first call does the
-// work. Packages that fail to check keep whatever partial information the
-// checker produced, with the errors recorded in Package.TypeErrs.
+// work. Type errors are recorded as "typecheck" findings for Run.
 func (prog *Program) Check() {
 	//lint:ignore lazyinit a Program is analyzed on a single goroutine; reprolint never shares one across workers
 	if prog.checked {
@@ -39,26 +37,21 @@ func (prog *Program) Check() {
 	}
 }
 
-// TypesOK reports whether pkg type-checked without errors.
-func (pkg *Package) TypesOK() bool {
-	return pkg.Types != nil && len(pkg.TypeErrs) == 0
-}
-
-// TypeOf returns the type of e in pkg, or nil when unknown (no type
-// information, or e did not type-check).
+// TypeOf returns the type of e in pkg, or nil when e is not in a checked
+// file (test files are not type-checked).
 func (pkg *Package) TypeOf(e ast.Expr) types.Type {
-	if pkg.TypesInfo == nil {
-		return nil
-	}
 	return pkg.TypesInfo.TypeOf(e)
 }
 
 // ObjectOf returns the object denoted by id in pkg, or nil.
 func (pkg *Package) ObjectOf(id *ast.Ident) types.Object {
-	if pkg.TypesInfo == nil {
-		return nil
-	}
 	return pkg.TypesInfo.ObjectOf(id)
+}
+
+// inModule reports whether obj is declared in a loaded package rather than
+// in the standard library.
+func (prog *Program) inModule(obj types.Object) bool {
+	return obj.Pkg() != nil && prog.checkedPkgs[obj.Pkg().Path()] != nil
 }
 
 // ImportPath returns the path under which pkg is importable: the module
@@ -84,8 +77,15 @@ func (prog *Program) checkPackage(pkg *Package) *types.Package {
 		return done.Types
 	}
 	// Mark before checking so import cycles terminate (they are illegal in
-	// Go; a partially checked package is the best we can do).
+	// Go, and the checker reports them).
 	prog.checkedPkgs[path] = pkg
+	pkg.TypesInfo = &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Implicits:  make(map[ast.Node]types.Object),
+	}
 
 	var files []*ast.File
 	for _, f := range pkg.Files {
@@ -96,25 +96,20 @@ func (prog *Program) checkPackage(pkg *Package) *types.Package {
 	if len(files) == 0 {
 		return nil
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
 	conf := types.Config{
-		Importer:         prog.importer,
-		FakeImportC:      true,
-		IgnoreFuncBodies: false,
+		Importer:    prog.importer,
+		FakeImportC: true,
 		Error: func(err error) {
-			pkg.TypeErrs = append(pkg.TypeErrs, err)
+			te := err.(types.Error)
+			prog.typeErrs = append(prog.typeErrs, Finding{
+				Pos:     te.Fset.Position(te.Pos),
+				Rule:    "typecheck",
+				Message: te.Msg + " (no other rule runs until the tree type-checks)",
+			})
 		},
 	}
-	tpkg, _ := conf.Check(path, prog.Fset, files, info)
-	pkg.Types = tpkg
-	pkg.TypesInfo = info
-	return tpkg
+	pkg.Types, _ = conf.Check(path, prog.Fset, files, pkg.TypesInfo)
+	return pkg.Types
 }
 
 // progImporter resolves imports during type-checking: module-internal

@@ -2,23 +2,20 @@ package lint
 
 import (
 	"go/ast"
-	"strings"
+	"go/types"
 )
 
 // UncheckedError flags statement-position calls that drop an error
-// returned by a function or method declared in the loaded tree. Stdlib
-// calls are not flagged (their signatures are never loaded) unless they
-// collide with a repo method name, in which case a suppression with a
-// reason is the escape hatch. Deferred calls are deliberately exempt:
-// `defer f.Close()` on a read path is idiomatic.
+// returned by a function or method declared in the loaded module: the
+// callee is resolved through the type checker, so a method is judged by
+// its own signature, not by others that share its name. Stdlib calls are
+// never flagged, including those named like a repo method, which a
+// name-based rule would flag falsely. Deferred calls are deliberately
+// exempt: `defer f.Close()` on a read path is idiomatic.
 var UncheckedError = &Analyzer{
 	Name: "unchecked-error",
 	Doc:  "dropped error results from repo functions; handle the error or assign it to _",
 	Run:  runUncheckedError,
-}
-
-func lastIsError(results []string) bool {
-	return len(results) > 0 && results[len(results)-1] == "error"
 }
 
 func runUncheckedError(pass *Pass) {
@@ -34,49 +31,32 @@ func runUncheckedError(pass *Pass) {
 		if !ok {
 			return true
 		}
-		switch fn := call.Fun.(type) {
+		// callee renders the three message shapes: "f", "pkg.F" and
+		// "method M".
+		var name *ast.Ident
+		var callee string
+		switch fn := unwrapFun(call.Fun).(type) {
 		case *ast.Ident:
-			// Unqualified call: a top-level function of this package.
-			if lastIsError(pass.Program.FuncResults(pass.File.AST.Name.Name, fn.Name)) {
-				pass.Report(call, "call to %s drops its error result; handle it or assign to _ explicitly", fn.Name)
-			}
+			name, callee = fn, fn.Name
 		case *ast.SelectorExpr:
+			name, callee = fn.Sel, "method "+fn.Sel.Name
 			if id, ok := fn.X.(*ast.Ident); ok {
-				if pkgName, imported := importedPackageName(pass.File.AST, id.Name); imported {
-					if lastIsError(pass.Program.FuncResults(pkgName, fn.Sel.Name)) {
-						pass.Report(call, "call to %s.%s drops its error result; handle it or assign to _ explicitly", id.Name, fn.Sel.Name)
-					}
-					return true
+				if _, ok := pass.Package.ObjectOf(id).(*types.PkgName); ok {
+					callee = id.Name + "." + fn.Sel.Name
 				}
 			}
-			// Method call: flag only when every loaded method with this
-			// name returns an error, so name lumping stays conservative.
-			if pass.Program.MethodAlwaysReturns(fn.Sel.Name, lastIsError) {
-				pass.Report(call, "call to method %s drops its error result; handle it or assign to _ explicitly", fn.Sel.Name)
-			}
+		default:
+			return true
+		}
+		if obj, ok := pass.Package.ObjectOf(name).(*types.Func); ok && pass.Program.inModule(obj) && lastIsError(obj) {
+			pass.Report(call, "call to %s drops its error result; handle it or assign to _ explicitly", callee)
 		}
 		return true
 	})
 }
 
-// importedPackageName maps a local import name used in f to the imported
-// package's name (assumed to equal the import path's last element, which
-// holds throughout this repo). The bool reports whether localName refers
-// to an import at all.
-func importedPackageName(f *ast.File, localName string) (string, bool) {
-	for _, imp := range f.Imports {
-		path := strings.Trim(imp.Path.Value, `"`)
-		base := path
-		if i := strings.LastIndex(path, "/"); i >= 0 {
-			base = path[i+1:]
-		}
-		name := base
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		if name == localName {
-			return base, true
-		}
-	}
-	return "", false
+// lastIsError reports whether fn's last result has type error.
+func lastIsError(fn *types.Func) bool {
+	res := fn.Type().(*types.Signature).Results()
+	return res.Len() > 0 && types.Identical(res.At(res.Len()-1).Type(), types.Universe.Lookup("error").Type())
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/topo"
-	"repro/internal/worm"
 )
 
 // Graph drivers: RunExact and RunFast dispatch here when the config's
@@ -69,8 +68,8 @@ func graphSeeds(g topo.Graph, seed uint64, seedHosts int) []int32 {
 }
 
 // runExactGraph is the probe-exact driver over a neighbor graph. Every
-// probe of every infected node picks a neighbor through the config's
-// NeighborPicker (uniform by default) and classifies it against the
+// probe of every infected node picks a uniformly random neighbor (one
+// draw from the node's per-tick stream) and classifies it against the
 // tick-start snapshot: sensor neighbors are OutcomeSensorHit, infected
 // neighbors OutcomeDelivered, susceptible neighbors buffered candidates
 // that the serial merge resolves first-agent-wins.
@@ -80,10 +79,6 @@ func runExactGraph(cfg ExactConfig, g topo.Graph) (*Result, error) {
 	}
 	n := g.Nodes()
 	l := cfg.params().loop("exact", "exact "+g.Name())
-	picker := cfg.Neighbor
-	if picker == nil {
-		picker = worm.UniformNeighbor{}
-	}
 
 	infected := make([]bool, n)
 	infTime := make([]float64, n)
@@ -120,7 +115,7 @@ func runExactGraph(cfg ExactConfig, g topo.Graph) (*Result, error) {
 			w.r.SeedStream(cfg.Seed, uint64(id), step)
 			for p := 0; p < probesPerTick; p++ {
 				w.probes++
-				v := nbrs[picker.PickNeighbor(len(nbrs), &w.r)]
+				v := nbrs[w.r.Uint64n(uint64(len(nbrs)))]
 				switch {
 				case g.IsSensor(int(v)):
 					w.outcomes[OutcomeSensorHit]++

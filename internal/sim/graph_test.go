@@ -252,14 +252,6 @@ func TestGraphConfigConflicts(t *testing.T) {
 			t.Fatalf("fast %s: conflict names %q on %q", tc.field, conflict.Field, conflict.Topology)
 		}
 	}
-	// The reverse direction: graph-only fields on the IPv4 world.
-	ipv4Cfg := ExactConfig{Pop: pop, Factory: worm.UniformFactory{}, Neighbor: worm.UniformNeighbor{},
-		ScanRate: 100, TickSeconds: 1, MaxSeconds: 10, SeedHosts: 2, Seed: 1}
-	_, err := RunExact(ipv4Cfg)
-	var conflict *TopologyConflictError
-	if !errors.As(err, &conflict) || conflict.Field != "Neighbor" {
-		t.Fatalf("Neighbor on ipv4: got %v, want TopologyConflictError on Neighbor", err)
-	}
 	// Explicit IPv4 topology falls through to the reference path.
 	okCfg := ExactConfig{Topology: topo.IPv4{}, Pop: pop, Factory: worm.UniformFactory{},
 		ScanRate: 100, TickSeconds: 1, MaxSeconds: 10, SeedHosts: 2, Seed: 1}

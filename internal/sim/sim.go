@@ -109,10 +109,6 @@ type ExactConfig struct {
 	// — they have no graph semantics and are rejected with a
 	// *TopologyConflictError rather than silently ignored.
 	Topology topo.Topology
-	// Neighbor picks which neighbor a graph-world scanner probes next;
-	// nil means worm.UniformNeighbor. Only meaningful with a graph
-	// Topology; setting it on the IPv4 world is a conflict.
-	Neighbor worm.NeighborPicker
 	// Pop is the vulnerable population.
 	Pop *population.Population
 	// Factory builds each infected host's target generator.
@@ -183,10 +179,6 @@ type ExactConfig struct {
 }
 
 func (c *ExactConfig) validate() error {
-	if c.Neighbor != nil {
-		return &TopologyConflictError{Topology: "ipv4", Field: "Neighbor",
-			Reason: "IPv4 scanners draw addresses from Factory generators; neighbor pickers need a graph topology"}
-	}
 	if c.Pop == nil || c.Pop.Size() == 0 {
 		return errors.New("sim: empty population")
 	}

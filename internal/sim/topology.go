@@ -90,7 +90,7 @@ func (c *FastConfig) validateGraph(g topo.Graph) error {
 		{c.BlockedDst != nil, "BlockedDst", "hard-blocked destination space is an IPv4 interval-set concept"},
 		{c.Sensors != nil, "Sensors", "graph sensor hits are node events counted in outcomes, not address observations"},
 		{c.SensorSet != nil, "SensorSet", "graph sensors are nodes declared by the world, not darknet address blocks"},
-		{c.LossRate != 0, "LossRate", "graph neighbor links are modeled lossless; thin ScanRate instead"},
+		{c.LossRate != 0, "LossRate", "graph neighbor links are modeled lossless; thin ScanRate instead"}, //lint:ignore float-eq zero is the unset default; any nonzero LossRate, however small, was set by the caller
 		{c.Containment != nil, "Containment", "containment scales delivery over the IPv4 wire model"},
 		{c.Faults != nil, "Faults", "fault plans schedule outages over IPv4 blocks"},
 	})

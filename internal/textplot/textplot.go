@@ -47,9 +47,11 @@ func Render(title string, series []Series, opts Options) string {
 		b.WriteString("(no data)\n")
 		return b.String()
 	}
+	//lint:ignore float-eq equal bounds mean a single distinct x, whose zero span would divide by zero in scaling; a near-equal real range must keep its span
 	if xMax == xMin {
 		xMax = xMin + 1
 	}
+	//lint:ignore float-eq equal bounds mean a single distinct y, whose zero span would divide by zero in scaling; a near-equal real range must keep its span
 	if yMax == yMin {
 		yMax = yMin + 1
 	}

@@ -96,6 +96,7 @@ func New(cfg Config) (*World, error) {
 			cfg.Nodes, k, math.MaxInt32)
 	}
 	w := &World{cfg: cfg, radius: cfg.Radius}
+	//lint:ignore float-eq a zero Radius is the documented use-the-default value, never a computed one
 	if w.radius == 0 {
 		w.radius = DefaultRadius(cfg.Nodes, cfg.Degree)
 	}
@@ -126,6 +127,7 @@ type cand struct {
 
 // before is the total ranking order: nearer first, lower id on ties.
 func (a cand) before(b cand) bool {
+	//lint:ignore float-eq sort tie-break: exact equality keeps the ranking a strict total order, which a tolerance would make intransitive
 	return a.d2 < b.d2 || (a.d2 == b.d2 && a.id < b.id)
 }
 

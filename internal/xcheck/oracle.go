@@ -276,6 +276,7 @@ func checkTree(rep *Report, label string, out *runOutput) {
 		rep.addf(OracleTreeSize, "%s: tree covers %d hosts, run infected %d", label, got, want)
 	}
 	for _, id := range tree.Seeds {
+		//lint:ignore float-eq seeds are stored at exactly t=0, and the oracle checks that identity bit for bit
 		if id >= len(out.res.InfectionTime) || out.res.InfectionTime[id] != 0 {
 			rep.addf(OracleTreeTime, "%s: seed %d not recorded as infected at t=0", label, id)
 			return
@@ -286,6 +287,7 @@ func checkTree(rep *Report, label string, out *runOutput) {
 			rep.addf(OracleTreeTime, "%s: edge victim %d outside population", label, e.Victim)
 			return
 		}
+		//lint:ignore float-eq the trace edge and InfectionTime store the same float; the oracle asserts bit-exact identity, which a tolerance would weaken
 		if it := out.res.InfectionTime[e.Victim]; it != e.T {
 			rep.addf(OracleTreeTime,
 				"%s: edge infects %d at t=%v but InfectionTime says %v", label, e.Victim, e.T, it)

@@ -178,6 +178,7 @@ const (
 // nothing but this check.
 func (s *Scenario) Validate() error {
 	switch s.Topology {
+	//lint:ignore float-eq zero is the unset GraphRadius; any nonzero radius is a graph dimension on an IPv4 scenario
 	case "", TopoIPv4:
 		if s.GraphNodes != 0 || s.GraphDegree != 0 || s.GraphRadius != 0 ||
 			s.GraphSensors != 0 || s.GraphSeed != 0 {
@@ -287,9 +288,11 @@ func (s *Scenario) validateGraph() error {
 	if s.PopSize != 0 || s.Slash8s != 0 || s.Slash16s != 0 || s.Include192 || s.PopSeed != 0 {
 		return fmt.Errorf("xcheck: IPv4 population dimensions set on topology %q", s.Topology)
 	}
+	//lint:ignore float-eq zero is the unset NATFraction; any nonzero fraction is a NAT dimension on a graph scenario
 	if s.NATFraction != 0 || s.NATHostsPerSite != 0 || s.NATSeed != 0 {
 		return fmt.Errorf("xcheck: NAT dimensions set on topology %q", s.Topology)
 	}
+	//lint:ignore float-eq zero is the unset LossRate and EgressDrop; any nonzero rate is an environment dimension on a graph scenario
 	if s.HitListSlash16s != 0 || s.LossRate != 0 || s.EgressDrop != 0 {
 		return fmt.Errorf("xcheck: environment dimensions set on topology %q", s.Topology)
 	}
@@ -356,6 +359,7 @@ func validWindow(start, end float64) bool {
 func (s *Scenario) Differential() bool {
 	switch s.Worm {
 	case WormUniform, WormHitList, WormCodeRedII:
+		//lint:ignore float-eq a zero EgressDrop means no egress filter, which FastConfig can express; any nonzero drop is exact-only
 		return s.EgressDrop == 0
 	}
 	return false
@@ -367,6 +371,7 @@ func (s *Scenario) Differential() bool {
 // hit-list is checked at build time (partial lists cap the epidemic below
 // N, breaking the logistic form).
 func (s *Scenario) Analytic() bool {
+	//lint:ignore float-eq the analytic model holds only with NAT, loss and egress filtering exactly off, which zero encodes
 	return s.Worm == WormHitList &&
 		s.NATFraction == 0 && s.LossRate == 0 && s.EgressDrop == 0 &&
 		s.Faults == nil && len(s.SensorOutages) == 0 && s.StopWhenInfect == 0

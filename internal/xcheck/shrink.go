@@ -119,6 +119,7 @@ var reductions = []func(Scenario) (Scenario, bool){
 	},
 	// Flatten NAT.
 	func(s Scenario) (Scenario, bool) {
+		//lint:ignore float-eq zero is the flattened NAT state this move writes, so == 0 means there is nothing left to drop
 		if s.NATFraction == 0 {
 			return s, false
 		}
@@ -127,6 +128,7 @@ var reductions = []func(Scenario) (Scenario, bool){
 	},
 	// Clear the environment.
 	func(s Scenario) (Scenario, bool) {
+		//lint:ignore float-eq zero is the cleared environment this move writes, so == 0 means there is nothing left to drop
 		if s.LossRate == 0 && s.EgressDrop == 0 {
 			return s, false
 		}

@@ -13,13 +13,22 @@ package hotspots_test
 // findings.
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/lint"
 )
 
-func TestRepositoryPassesLintSuite(t *testing.T) {
-	prog, err := lint.Load(".")
+// repoProgram loads the repository once per test binary; both tests below
+// read the same Program, so `go test .` parses and type-checks the tree
+// once.
+var repoProgram = sync.OnceValues(func() (*lint.Program, error) {
+	return lint.Load(".")
+})
+
+func loadRepo(t *testing.T) *lint.Program {
+	t.Helper()
+	prog, err := repoProgram()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,6 +36,11 @@ func TestRepositoryPassesLintSuite(t *testing.T) {
 		// Guard against silently linting an empty or truncated tree.
 		t.Fatalf("loaded only %d packages; the loader is missing the repo", len(prog.Packages))
 	}
+	return prog
+}
+
+func TestRepositoryPassesLintSuite(t *testing.T) {
+	prog := loadRepo(t)
 	findings := lint.Run(prog, lint.Analyzers())
 	baseline, err := lint.LoadBaseline("lint.baseline")
 	if err != nil {
@@ -40,29 +54,16 @@ func TestRepositoryPassesLintSuite(t *testing.T) {
 		t.Errorf("stale baseline entry (the finding no longer fires — delete the line): %s", key)
 	}
 	if len(fresh) > 0 {
-		t.Log("fix the findings or add //lint:ignore <rule> <reason> (or //lint:deterministic <why> for detrace) where the heuristic is wrong; see DESIGN.md §11")
+		t.Log("fix the findings or add //lint:ignore <rule> <reason> (or //lint:deterministic <why> for detrace) where the rule is wrong; see DESIGN.md §11")
 	}
 }
 
-// TestTypedLayerCoversRepository pins the typed analysis engine to the
-// real tree: the interesting packages must fully type-check (no silent
-// degradation to syntactic fallbacks) and the call graph must see the
-// determinism roots.
+// TestTypedLayerCoversRepository pins the call graph to the real tree: it
+// must see the determinism roots. That every package type-checks is pinned
+// by the suite above, which reports each type error as a "typecheck"
+// finding.
 func TestTypedLayerCoversRepository(t *testing.T) {
-	prog, err := lint.Load(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog.Check()
-	for _, pkg := range prog.Packages {
-		switch pkg.Rel {
-		case "internal/sim", "internal/sweep", "internal/xcheck", "internal/experiments", "internal/ipv4":
-			if !pkg.TypesOK() {
-				t.Errorf("%s does not fully type-check: %v", pkg.Rel, pkg.TypeErrs)
-			}
-		}
-	}
-	g := prog.CallGraph()
+	g := loadRepo(t).CallGraph()
 	for _, root := range []struct{ rel, name string }{
 		{"internal/sim", "RunExact"},
 		{"internal/sim", "RunFast"},
