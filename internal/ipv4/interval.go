@@ -109,12 +109,27 @@ func (s *Set) AddPrefix(p Prefix) { s.AddInterval(p.Range()) }
 func (s *Set) AddAddr(a Addr) { s.AddInterval(Interval{Lo: a, Hi: a}) }
 
 // normalize sorts and merges intervals so that they are disjoint,
-// non-adjacent and ordered.
+// non-adjacent and ordered. The guard inlines into every reader; merge is
+// the out-of-line slow path.
 func (s *Set) normalize() {
 	//lint:ignore lazyinit the Freeze contract serializes the first call: shared Sets are frozen on one goroutine before workers start, pinned by TestRunExactParallelHitListShared
-	if !s.dirty {
-		return
+	if s.dirty {
+		s.merge()
 	}
+}
+
+// ensureRanks builds the Select/Rank index unless it is current. The
+// guard inlines into every reader; buildRanks is the out-of-line slow
+// path. ranked implies normalized: AddInterval clears both.
+func (s *Set) ensureRanks() {
+	//lint:ignore lazyinit the Freeze contract serializes the first call: shared Sets are frozen on one goroutine before workers start, pinned by TestRunExactParallelHitListShared
+	if !s.ranked {
+		s.buildRanks()
+	}
+}
+
+// merge is normalize's slow path.
+func (s *Set) merge() {
 	sort.Slice(s.ivs, func(i, j int) bool { return s.ivs[i].Lo < s.ivs[j].Lo })
 	merged := s.ivs[:0]
 	for _, iv := range s.ivs {
@@ -184,13 +199,10 @@ func (s *Set) Intervals() []Interval {
 	return out
 }
 
-// buildRanks prepares the cumulative-size index used by Select.
+// buildRanks prepares the cumulative-size index used by Select. Callers
+// go through ensureRanks.
 func (s *Set) buildRanks() {
 	s.normalize()
-	//lint:ignore lazyinit the Freeze contract serializes the first call: shared Sets are frozen on one goroutine before workers start, pinned by TestRunExactParallelHitListShared
-	if s.ranked {
-		return
-	}
 	s.ranks = make([]uint64, len(s.ivs)+1)
 	for i, iv := range s.ivs {
 		s.ranks[i+1] = s.ranks[i] + iv.Len()
@@ -214,12 +226,12 @@ func (s *Set) buildRanks() {
 // frozen first — while still on a single goroutine — after which Contains,
 // Size, Select, Rank, and IntersectInterval are read-only and safe to call
 // concurrently (until the next Add* mutation).
-func (s *Set) Freeze() { s.buildRanks() }
+func (s *Set) Freeze() { s.ensureRanks() }
 
 // Select returns the i-th smallest address of s (0-based). It panics if
 // i >= Size(); callers draw i uniformly in [0, Size()).
 func (s *Set) Select(i uint64) Addr {
-	s.buildRanks()
+	s.ensureRanks()
 	if i >= s.size {
 		panic(fmt.Sprintf("ipv4: Select(%d) out of range for set of size %d", i, s.size))
 	}
@@ -229,7 +241,7 @@ func (s *Set) Select(i uint64) Addr {
 
 // Rank returns the number of set members strictly less than a.
 func (s *Set) Rank(a Addr) uint64 {
-	s.buildRanks()
+	s.ensureRanks()
 	i := s.search(a)
 	if i == len(s.ivs) {
 		return s.size

@@ -138,17 +138,15 @@ func Synthesize(cfg Config) (*Population, error) {
 	}
 	slash16s := assignSlash16s(sizes, slash8s, r)
 
-	// Canonical order without a sort: /16s are disjoint, so each one's hosts
-	// occupy a fixed range of the address-ordered list, starting at the
-	// host count of the /16s below it. start is indexed by /16 network.
-	start := make([]int, 1<<16)
-	for i, net16 := range slash16s {
-		start[net16] = sizes[i]
-	}
+	// Canonical order without a host sort: /16s are disjoint, so each
+	// one's hosts occupy a fixed range of the address-ordered list,
+	// starting at the host count of the /16s below it. start[i] is the
+	// first slot of slash16s[i].
+	start := make([]int, len(slash16s))
 	at := 0
-	for net16, n := range start {
-		start[net16] = at
-		at += n
+	for _, i := range orderByNet(slash16s) {
+		start[i] = at
+		at += sizes[i]
 	}
 	addrs := make([]ipv4.Addr, cfg.Size)
 	// Per-/16 dedup: each /16 is visited once and only the low 16 address
@@ -168,7 +166,7 @@ func Synthesize(cfg Config) (*Population, error) {
 			touched[low>>12] |= 1 << (low >> 6 & 63)
 			n++
 		}
-		k, base := start[net16], ipv4.Addr(net16)<<16
+		k, base := start[i], ipv4.Addr(net16)<<16
 		for tw, t := range touched {
 			for ; t != 0; t &= t - 1 {
 				w := tw<<6 | bits.TrailingZeros64(t)
@@ -182,6 +180,34 @@ func Synthesize(cfg Config) (*Population, error) {
 		touched = [16]uint64{}
 	}
 	return &Population{addrs: addrs, public: len(addrs)}, nil
+}
+
+// orderByNet returns the indexes of nets in ascending network order: a
+// two-pass LSD radix sort over the 16-bit networks, low byte first, so
+// its scratch is proportional to the list, not to the 2¹⁶ networks.
+func orderByNet(nets []uint32) []int32 {
+	a, b := make([]int32, len(nets)), make([]int32, len(nets))
+	for i := range a {
+		a[i] = int32(i)
+	}
+	for shift := 0; shift < 16; shift += 8 {
+		var next [256]int
+		for _, i := range a {
+			next[nets[i]>>shift&0xff]++
+		}
+		at := 0
+		for d, c := range next {
+			next[d] = at
+			at += c
+		}
+		for _, i := range a {
+			d := nets[i] >> shift & 0xff
+			b[next[d]] = i
+			next[d]++
+		}
+		a, b = b, a
+	}
+	return a
 }
 
 // InternetScale returns a configuration for populations far beyond the

@@ -211,9 +211,11 @@ type fastGroup struct {
 	// λ and category rates; they are exact while stamp == rateStamp and
 	// an upper bound on the exact λ after that (see rebuildRates). dirty
 	// marks a group whose infected count changed since, which voids the
-	// bound until the next rebuild evaluates it.
+	// bound until the next rebuild evaluates it; idx is the group's index
+	// in groupList, which infectSlot queues on dirtyGroups.
 	stamp uint64
 	dirty bool
+	idx   int32
 }
 
 type compKey struct {
@@ -223,24 +225,32 @@ type compKey struct {
 
 // compData is the per-(set, site) pool geometry: the slot spans the
 // set covers plus the monitored-space intersection. The geometry fields are
-// immutable after construction; the live-geometry cache below is refreshed
-// serially by rebuildRates (stamp names the rebuild it is valid for) and
-// only read by phase-1 workers, so neither needs synchronization.
+// immutable after construction; the live counts below are refreshed
+// serially by rebuildRates and only read by phase-1 workers, so neither
+// needs synchronization.
 type compData struct {
 	spans       []slotSpan
 	sensorInter *ipv4.Set
 	sensorSize  uint64
 	setSize     uint64
 
-	// Live-geometry cache: per-span cumulative live counts and the global
-	// live rank at each span's start, valid for the live index as of the
-	// stamp'th rate rebuild. Victim selection reads these instead of
-	// querying the live index per span, leaving one search of the chosen
-	// span's blocks per draw.
+	// Live counts: per-span cumulative live counts and their total, exact
+	// for the live index as of the last rate rebuild. A rebuild touches
+	// only the pools that are new or hold one of its kills (refreshPools);
+	// every other pool's counts are still exact. stamp names the rebuild
+	// that last refreshed the pool, 0 before its first. Victim selection
+	// picks the span from cumLive and adds the span's start rank (see
+	// selectVictim), leaving one search of the chosen span's blocks per
+	// draw.
 	stamp   uint64
 	liveCt  int64
 	cumLive []int64
-	rankLo  []int64
+}
+
+// poolLink is one entry of the run → pool reverse index: pool is an index
+// into fastState.compList, next the run's following entry (0 ends it).
+type poolLink struct {
+	pool, next int32
 }
 
 // fastEvent is one phase-1 arrival awaiting the serial merge: an infection
@@ -269,9 +279,11 @@ type fastState struct {
 	// (and reallocate) it when the merge phase creates a group.
 	comps []fastComp
 	// compCache memoizes per-(set, site) component data; compList holds
-	// the same pools in creation order, for the per-rebuild refresh.
+	// the same pools in creation order. Pools compList[poolsLive:] were
+	// built since the last rate rebuild and have no live counts yet.
 	compCache map[compKey]*compData
 	compList  []*compData
+	poolsLive int
 
 	// A host's slot is its id: the population's canonical order (public
 	// hosts by address, then each NAT site by private address) is the slot
@@ -290,9 +302,15 @@ type fastState struct {
 	runStart []int32
 	runBlock []int32
 	runGroup []*fastGroup
+	// The reverse pool index: runPools[r] heads the list, in poolLinks, of
+	// the pools whose spans overlap run r, so a rebuild reaches the pools
+	// a kill touches from the kill's run. poolLinks[0] is a sentinel and
+	// 0 ends a list.
+	runPools  []int32
+	poolLinks []poolLink
 
 	// infTime is the result's per-host infection time. Every kill in
-	// killsTick happened at killTime, so indexKills writes them in sorted
+	// killsTick happened at killTime, so the rebuild writes them in sorted
 	// slot order instead of the merge writing one random host per kill.
 	infTime  []float64
 	killTime float64
@@ -303,20 +321,26 @@ type fastState struct {
 	// (rebuildRates). Draws evaluate a group exactly before they read more
 	// than its gate, so both draw paths read the same exact floats, which
 	// is what makes their outputs bit-identical.
-	lam           []float64 // per group: arrival intensity λ, or a bound on it
-	catRate       []float64 // per comp: infection-category intensity
-	catSens       []float64 // per comp: sensor-category intensity
-	catLive       []int64   // per comp: live pool size at evaluation
-	lamTotal      float64   // in-order sum of lam: a bound on the tick's λ
+	lam         []float64 // per group: arrival intensity λ, or a bound on it
+	groupProbes []float64 // per group: probes per tick, infected·perHost
+	catRate     []float64 // per comp: infection-category intensity
+	catSens     []float64 // per comp: sensor-category intensity
+	catLive     []int64   // per comp: live pool size at evaluation
+	catRank     []int64   // per comp: live rank at its pool's first span start, at evaluation
+	// lamTotal and probesTotal are the in-order sums of lam and
+	// groupProbes, recomputed at every rebuild.
+	lamTotal      float64
 	probesTotal   float64
 	cachedDeliver float64
 	rateValid     bool
-	rateStamp     uint64 // rebuild counter, matching fresh compData caches
-	// killsTick accumulates the slots killed since the last rate rebuild,
-	// feeding refreshCompLive's incremental branch.
-	killsTick    []int32
-	killBlockOff []int32 // per live-index block: kills below the block's first slot
-	killSort     slotSorter
+	rateStamp     uint64 // rebuild counter, matching compData.stamp
+	// dirtyGroups lists, by groupList index, the groups marked dirty since
+	// the last rate rebuild.
+	dirtyGroups []int32
+	// killsTick accumulates the slots killed since the last rate rebuild;
+	// the rebuild sorts it and applies it to the pools it reaches.
+	killsTick []int32
+	killSort  slotSorter
 }
 
 // RunFast runs the aggregated simulation.
@@ -474,14 +498,18 @@ func (st *fastState) infectSlot(slot int32) {
 		key := st.cfg.Model.GroupKey(h)
 		if g = st.groups[key]; g == nil {
 			off, cnt := st.buildComps(h)
-			g = &fastGroup{off: off, n: cnt, key: rng.StreamKey(st.cfg.Seed, uint64(len(st.groupList)))}
+			idx := len(st.groupList)
+			g = &fastGroup{off: off, n: cnt, key: rng.StreamKey(st.cfg.Seed, uint64(idx)), idx: int32(idx)}
 			st.groups[key] = g
 			st.groupList = append(st.groupList, g)
 		}
 		st.runGroup[r] = g
 	}
 	g.infected++
-	g.dirty = true
+	if !g.dirty {
+		g.dirty = true
+		st.dirtyGroups = append(st.dirtyGroups, g.idx)
+	}
 	st.rateValid = false
 }
 
@@ -623,7 +651,7 @@ func (st *fastState) drawGroup(r *rng.Xoshiro, gi int, stepMix uint64, out []fas
 		comp := &st.comps[ai]
 		if !sensor {
 			j := r.Uint64n(uint64(st.catLive[ai]))
-			out = append(out, fastEvent{slot: int32(st.selectVictim(comp.data, int64(j))), ci: pick})
+			out = append(out, fastEvent{slot: int32(st.selectVictim(comp.data, int64(j), st.catRank[ai])), ci: pick})
 		} else {
 			dst := comp.sensors.Select(r.Uint64n(comp.sensors.Size()))
 			out = append(out, fastEvent{slot: -1, ci: pick, dst: dst})
@@ -632,92 +660,92 @@ func (st *fastState) drawGroup(r *rng.Xoshiro, gi int, stepMix uint64, out []fas
 	return out
 }
 
-// selectVictim resolves the j-th live slot of a span-union pool using the
-// pool's cached live geometry: a scan of the cumulative counts picks the
-// span, and the cached start rank turns the within-span index into a
-// global rank, which the live index resolves by searching only the
-// blocks that both lie in that span and sit between the rank's two
-// select-directory samples. The caller guarantees j is below the cached
-// live pool size the arrival was priced with.
-func (st *fastState) selectVictim(d *compData, j int64) int {
+// selectVictim resolves the j-th live slot of a span-union pool: a scan of
+// the pool's cumulative live counts picks the span, the live rank at the
+// span's start turns the within-span index into a global rank, and the
+// live index resolves that rank by searching only the blocks that both lie
+// in the span and sit between the rank's two select-directory samples.
+// The caller guarantees j is below the live pool size the arrival was
+// priced with. rank0 is the rank at the first span's start, which
+// evalGroup caches per component, so single-span pools never read the
+// bitset outside the chosen blocks; later spans ask the live index. Draws
+// run after a rebuild's refresh and before any kill, so every start rank
+// is the one the counts were computed against.
+func (st *fastState) selectVictim(d *compData, j, rank0 int64) int {
 	for i, c := range d.cumLive {
 		if j < c {
+			sp := d.spans[i]
 			if i > 0 {
 				j -= d.cumLive[i-1]
+				rank0 = int64(st.live.rank(int(sp.Lo)))
 			}
-			sp := d.spans[i]
-			return st.live.selectSpan(int(d.rankLo[i]+j), int(sp.Lo), int(sp.Hi))
+			return st.live.selectSpan(int(rank0+j), int(sp.Lo), int(sp.Hi))
 		}
 	}
 	panic("sim: victim index out of pool range")
 }
 
-// refreshCompLive advances one pool's live-geometry cache to the current
-// live index. A pool that was refreshed at the previous rebuild needs only
-// the kills applied since: rank(lo) drops by the kills below lo, and each
-// span's live count by the kills inside it — integer identities on the
-// rank function, so the result matches a from-scratch recompute exactly,
-// with each kill count answered from the per-block kill table instead of
-// a live-index rank's popcount walk. Pools built mid-run (stamp 0) or otherwise out of
-// sequence take the full recompute.
-func (st *fastState) refreshCompLive(d *compData) {
-	if d.stamp+1 == st.rateStamp && cap(d.cumLive) >= len(d.spans) {
-		kills := st.killsTick
-		n := len(d.spans)
-		if n == 0 || len(kills) == 0 || kills[0] >= d.spans[n-1].Hi {
-			d.stamp = st.rateStamp
-			return
-		}
-		var inside int64
-		for i, sp := range d.spans {
-			kl := st.killsBelow(sp.Lo)
-			kh := st.killsBelow(sp.Hi)
-			d.rankLo[i] -= int64(kl)
-			inside += int64(kh - kl)
-			d.cumLive[i] -= inside
-		}
-		d.liveCt -= inside
-		d.stamp = st.rateStamp
-		return
+// refreshPools brings every pool's live counts up to the current live
+// index, touching only the pools that need it. Pools built since the last
+// rebuild are counted from scratch. The sorted kill list then reaches the
+// rest through the reverse index: each run that holds a kill lists the
+// pools overlapping it, and applyKills updates each such pool once. A pool
+// no kill reaches holds none in its spans, so its counts are still exact.
+func (st *fastState) refreshPools() {
+	for _, d := range st.compList[st.poolsLive:] {
+		st.countPool(d)
 	}
-	if cap(d.cumLive) < len(d.spans) {
-		d.cumLive = make([]int64, len(d.spans))
-		d.rankLo = make([]int64, len(d.spans))
+	st.poolsLive = len(st.compList)
+	kills := st.killsTick
+	for i := 0; i < len(kills); {
+		r := st.runOf(kills[i])
+		for e := st.runPools[r]; e != 0; e = st.poolLinks[e].next {
+			if d := st.compList[st.poolLinks[e].pool]; d.stamp != st.rateStamp {
+				st.applyKills(d)
+			}
+		}
+		end := int32(st.live.n)
+		if r+1 < len(st.runStart) {
+			end = st.runStart[r+1]
+		}
+		i += countBelow(kills[i:], end)
 	}
-	d.cumLive = d.cumLive[:len(d.spans)]
-	d.rankLo = d.rankLo[:len(d.spans)]
+}
+
+// countPool computes a pool's live counts from scratch: two ranks per span.
+func (st *fastState) countPool(d *compData) {
 	var c int64
 	for i, sp := range d.spans {
-		rlo := int64(st.live.rank(int(sp.Lo)))
-		d.rankLo[i] = rlo
-		c += int64(st.live.rank(int(sp.Hi))) - rlo
+		c += int64(st.live.rank(int(sp.Hi)) - st.live.rank(int(sp.Lo)))
 		d.cumLive[i] = c
 	}
 	d.liveCt = c
 	d.stamp = st.rateStamp
 }
 
-// indexKills sorts the tick's kill list, stamps the killed hosts'
-// infection times, and fills killBlockOff so that killBlockOff[b] counts
-// the kills below slot b·liveBlockSlots. One pass here turns every
-// killsBelow query during the rebuild into a table load plus a scan of one
-// (typically near-empty) block bucket — the queries run once per span per
-// pool per tick, so they must not each binary-search.
-func (st *fastState) indexKills() {
-	st.killSort.sort(st.killsTick)
-	st.stampKills()
-	nb := st.live.blocks + 1
-	if cap(st.killBlockOff) < nb {
-		st.killBlockOff = make([]int32, nb)
-	}
-	st.killBlockOff = st.killBlockOff[:nb]
+// applyKills subtracts the sorted kill list from a pool whose counts were
+// exact before those kills: each span's live count drops by the kills
+// inside it, an integer identity on the rank function, so the result
+// matches countPool exactly. Spans and kills are both sorted, so each
+// span's kills are found by binary search past the previous span's.
+func (st *fastState) applyKills(d *compData) {
+	kills := st.killsTick
+	var inside int64
 	c := 0
-	for b := 0; b < nb; b++ {
-		for c < len(st.killsTick) && int(st.killsTick[c]) < b*liveBlockSlots {
-			c++
-		}
-		st.killBlockOff[b] = int32(c)
+	for i, sp := range d.spans {
+		lo := c + countBelow(kills[c:], sp.Lo)
+		c = lo + countBelow(kills[lo:], sp.Hi)
+		inside += int64(c - lo)
+		d.cumLive[i] -= inside
 	}
+	d.liveCt -= inside
+	d.stamp = st.rateStamp
+}
+
+// countBelow returns how many entries of the ascending s are below v.
+func countBelow(s []int32, v int32) int {
+	n, _ := slices.BinarySearch(s, v)
+	return n
 }
 
 // stampKills writes killTime as the infection time of every host killed
@@ -728,27 +756,15 @@ func (st *fastState) stampKills() {
 	}
 }
 
-// killsBelow returns how many of this tick's kill slots are below pos.
-// pos may equal the slot count.
-func (st *fastState) killsBelow(pos int32) int {
-	kills := st.killsTick
-	b := int(pos) / liveBlockSlots
-	if b >= len(st.killBlockOff) {
-		return len(kills)
-	}
-	c := int(st.killBlockOff[b])
-	for c < len(kills) && kills[c] < pos {
-		c++
-	}
-	return c
-}
-
 // rebuildRates brings the intensity cache up to the current live index
-// and delivery probability. It refreshes the live index and every pool's
-// live geometry, then evaluates exactly only the groups that need it: the
-// dirty ones, or all of them when tickDeliver moved. Every other group
-// keeps its last exact λ, which stays an upper bound on its current exact
-// λ, and drawGroup evaluates it only on a tick whose gate might fire.
+// and delivery probability. It refreshes the live index and the live
+// counts of the pools that are new or hold a kill (refreshPools), then
+// evaluates exactly only the groups that need it: the dirty ones, or all
+// of them when tickDeliver moved. Every other group keeps its last exact
+// λ, which stays an upper bound on its current exact λ, and drawGroup
+// evaluates it only on a tick whose gate might fire. Apart from the live
+// index's O(blocks) refresh and the probe sum's O(groups) pass, a rebuild
+// costs O(kills + spans of the pools they reach + dirty groups).
 //
 // The bound holds because, with a group's infected count p and the
 // delivery probability d fixed, its exact λ can only fall. Live counts only
@@ -760,38 +776,48 @@ func (st *fastState) killsBelow(pos int32) int {
 // component weight or the delivery probability must mark the groups it
 // touches dirty, or re-evaluate them all.
 //
-// probesTotal is recomputed in group order, so it stays exact; lamTotal
-// is the in-order sum of the bounds. It steers only the tick-skip path
-// choice, cutShards and reserveEvents' capacity, none of which can change
-// output.
+// probesTotal is the in-order sum of infected·perHost, so it stays exact.
+// lamTotal is the in-order sum of the stored bounds. It steers only the
+// tick-skip path choice and cutShards, neither of which can change output,
+// but cutShards balances the shards only when it is the sum of the very
+// lam column it cuts: a running total that drifts above that sum, as one
+// kept by adding each evaluation's change does once drawGroup's lazy
+// evaluations lower terms, leaves the later shards nearly empty.
 func (st *fastState) rebuildRates(tickDeliver float64) {
 	st.lam = growFloats(st.lam, len(st.groupList))
+	st.groupProbes = growFloats(st.groupProbes, len(st.groupList))
 	st.catRate = growFloats(st.catRate, len(st.comps))
 	st.catSens = growFloats(st.catSens, len(st.comps))
 	st.catLive = growInts(st.catLive, len(st.comps))
+	st.catRank = growInts(st.catRank, len(st.comps))
 	st.rateStamp++
 	st.live.refresh()
-	// The kills recorded since the previous rebuild, sorted, drive the
-	// incremental branch of refreshCompLive. Every pool is refreshed on
-	// every rebuild, so "one rebuild behind" is the only incremental
-	// distance that ever occurs.
-	st.indexKills()
-	for _, d := range st.compList {
-		st.refreshCompLive(d)
-	}
+	st.killSort.sort(st.killsTick)
+	st.stampKills()
+	st.refreshPools()
 	//lint:ignore float-eq exact cache key: a group's bound holds only against the exact delivery float it was evaluated with
 	all := tickDeliver != st.cachedDeliver
 	st.cachedDeliver = tickDeliver
-	perHost := st.cfg.ScanRate * st.cfg.TickSeconds
-	st.lamTotal = 0
-	st.probesTotal = 0
-	for gi, g := range st.groupList {
-		st.probesTotal += float64(g.infected) * perHost
-		if all || g.dirty {
+	if all {
+		for gi := range st.groupList {
 			st.evalGroup(gi)
 		}
-		st.lamTotal += st.lam[gi]
+	} else {
+		for _, gi := range st.dirtyGroups {
+			st.evalGroup(int(gi))
+		}
 	}
+	// Both sums run in group order over two dense columns, in locals so
+	// they stay in registers; the chains are independent, so the pass
+	// costs about one add latency per group.
+	var probes, lamSum float64
+	lam := st.lam[:len(st.groupProbes)]
+	for gi, p := range st.groupProbes {
+		probes += p
+		lamSum += lam[gi]
+	}
+	st.probesTotal, st.lamTotal = probes, lamSum
+	st.dirtyGroups = st.dirtyGroups[:0]
 	st.killsTick = st.killsTick[:0]
 	st.rateValid = true
 }
@@ -806,6 +832,7 @@ func (st *fastState) evalGroup(gi int) {
 	g := st.groupList[gi]
 	perHost := st.cfg.ScanRate * st.cfg.TickSeconds
 	p := float64(g.infected) * perHost
+	st.groupProbes[gi] = p
 	lam := 0.0
 	for ci := int32(0); ci < g.n; ci++ {
 		ai := g.off + ci
@@ -815,6 +842,7 @@ func (st *fastState) evalGroup(gi int) {
 		rr := 0.0
 		if comp.weightOverSet > 0 && liveCt > 0 {
 			rr = p * comp.weightOverSet * float64(liveCt) * st.cachedDeliver
+			st.catRank[ai] = int64(st.live.rank(int(comp.data.spans[0].Lo)))
 		}
 		st.catRate[ai] = rr
 		lam += rr
@@ -973,6 +1001,8 @@ func (st *fastState) indexRuns() {
 		}
 	}
 	st.runGroup = make([]*fastGroup, len(st.runStart))
+	st.runPools = make([]int32, len(st.runStart))
+	st.poolLinks = make([]poolLink, 1)
 	st.runBlock = make([]int32, st.live.blocks)
 	r := 0
 	for b := range st.runBlock {
@@ -1045,6 +1075,7 @@ func (st *fastState) compDataFor(set *ipv4.Set, site int) *compData {
 	}
 	addrs, lo := st.pop.Region(site)
 	d.spans = ipv4World.VictimSpans(addrs, int32(lo), eff, d.spans)
+	d.cumLive = make([]int64, len(d.spans))
 	if site == population.NoSite && st.cfg.Sensors != nil && st.cfg.SensorSet != nil {
 		// Phase-1 workers Select from the embedded set concurrently;
 		// EmbedSensors freezes its lazy indexes while construction is
@@ -1054,6 +1085,20 @@ func (st *fastState) compDataFor(set *ipv4.Set, site int) *compData {
 		d.sensorSize = inter.Size()
 	}
 	st.compCache[key] = d
+	st.indexPool(int32(len(st.compList)), d.spans)
 	st.compList = append(st.compList, d)
 	return d
+}
+
+// indexPool enters pool into the reverse index of every run its spans
+// overlap. Spans are sorted, so a run two spans share is entered once.
+func (st *fastState) indexPool(pool int32, spans []slotSpan) {
+	last := -1
+	for _, sp := range spans {
+		for r := max(st.runOf(sp.Lo), last+1); r <= st.runOf(sp.Hi-1); r++ {
+			st.poolLinks = append(st.poolLinks, poolLink{pool: pool, next: st.runPools[r]})
+			st.runPools[r] = int32(len(st.poolLinks) - 1)
+			last = r
+		}
+	}
 }

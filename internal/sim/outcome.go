@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -97,22 +97,27 @@ func (c *OutcomeCounts) Merge(d OutcomeCounts) {
 }
 
 // String renders the non-zero tallies as "name=count" pairs in outcome
-// order, e.g. "delivered=120 filtered=30 infection=2".
+// order, e.g. "delivered=120 filtered=30 infection=2". It runs once per
+// traced tick, so it appends into one stack buffer, long enough for every
+// outcome at its widest count, and allocates only the returned string.
 func (c OutcomeCounts) String() string {
-	var b strings.Builder
+	var buf [320]byte
+	b := buf[:0]
 	for i, v := range c {
 		if v == 0 {
 			continue
 		}
-		if b.Len() > 0 {
-			b.WriteByte(' ')
+		if len(b) > 0 {
+			b = append(b, ' ')
 		}
-		fmt.Fprintf(&b, "%s=%d", ProbeOutcome(i), v)
+		b = append(b, outcomeNames[i]...)
+		b = append(b, '=')
+		b = strconv.AppendUint(b, v, 10)
 	}
-	if b.Len() == 0 {
+	if len(b) == 0 {
 		return "none"
 	}
-	return b.String()
+	return string(b)
 }
 
 // newInfectionBuckets bound the per-tick new-infection histogram.
