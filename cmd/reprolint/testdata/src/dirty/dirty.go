@@ -1,8 +1,8 @@
 // Package dirty is a reprolint smoke-test fixture with known violations.
 package dirty
 
-import "repro/internal/rng"
+func save() error { return nil }
 
-var r = rng.NewXoshiro(42)
+func flush() { save() }
 
 func close(a, b float64) bool { return a == b }

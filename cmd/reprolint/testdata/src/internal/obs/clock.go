@@ -1,9 +1,9 @@
 // Package obs is a clean fixture for the injected-clock idiom. The
 // fixture go.mod above testdata/src makes this package's module-relative
-// path internal/obs — a no-wallclock-restricted directory — so linting it
-// proves the pattern the real internal/obs uses needs no suppressions:
-// simulated time arrives through a Clock value and the time package is
-// never imported.
+// path internal/obs, the real telemetry package's path, so linting it
+// with the full rule set proves the pattern internal/obs uses needs no
+// suppressions: simulated time arrives through a Clock value and the time
+// package is never imported.
 package obs
 
 // Clock is simulated time injected by the tick loop.

@@ -89,9 +89,6 @@ func (prog *Program) CallGraph() *CallGraph {
 	// Pass 1: nodes for every declared function with a body.
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
-			if file.Test {
-				continue
-			}
 			for _, decl := range file.AST.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -114,9 +111,6 @@ func (prog *Program) CallGraph() *CallGraph {
 	taken := make(map[*FuncNode]bool)
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
-			if file.Test {
-				continue
-			}
 			callFuns := make(map[ast.Node]bool)
 			ast.Inspect(file.AST, func(nd ast.Node) bool {
 				if call, ok := nd.(*ast.CallExpr); ok {

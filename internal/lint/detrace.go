@@ -14,9 +14,11 @@ import (
 // unseeded randomness, wall-clock reads, and goroutine-completion
 // ordering — taint the function containing them; taint propagates through
 // the module call graph, and any source reachable from a
-// determinism-contract root (sim.RunExact, sim.RunFast, sweep.Run/Map*,
-// xcheck.CheckScenario/Shrink) is reported at the source with the call
-// path that connects them.
+// determinism-contract root (DeTraceRoots) is reported at the source with
+// the call path that connects them. Randomness and the wall clock are
+// judged by reachability alone: a call the roots cannot reach changes no
+// byte they produce, so wall-clock telemetry in a CLI or server loop is
+// not a finding.
 //
 // A source is discharged by a recognized sort-before-use (collected
 // entries sorted later in the same function, or an order-insensitive
@@ -33,9 +35,16 @@ var DeTrace = &Analyzer{
 	Run:  runDeTrace,
 }
 
-// detraceRoots are the determinism-contract entry points: every byte of
-// their output must be a pure function of configuration and seed.
-var detraceRoots = []struct{ rel, name string }{
+// Root names a function by its package's module-relative path and its
+// CallGraph.Lookup name.
+type Root struct{ Rel, Name string }
+
+// DeTraceRoots are the determinism-contract entry points: every byte of
+// their output must be a pure function of configuration and seed. They
+// cover both drivers, the sweep pool, the oracle harness, every paper
+// experiment (Run and RunObserved reach each runner through Registry's
+// map of function values) and hotspotd's one-shot result bytes.
+var DeTraceRoots = []Root{
 	{"internal/sim", "RunExact"},
 	{"internal/sim", "RunFast"},
 	{"internal/sweep", "Run"},
@@ -44,14 +53,36 @@ var detraceRoots = []struct{ rel, name string }{
 	{"internal/sweep", "MapCheckpointed"},
 	{"internal/xcheck", "CheckScenario"},
 	{"internal/xcheck", "Shrink"},
+	{"internal/xcheck", "RunScenario"},
+	{"internal/experiments", "Run"},
+	{"internal/experiments", "RunObserved"},
+	{"internal/serve", "OneShot"},
 }
 
 // randPkgs are the packages whose package-level state (or entropy pool)
-// makes every draw unseeded and irreproducible.
+// makes every draw unseeded and irreproducible: both math/rand
+// generations (global state, Go-version-dependent streams) and
+// crypto/rand (irreproducible by design). internal/rng is the only
+// source of randomness a root may reach.
 var randPkgs = map[string]bool{
 	"math/rand":    true,
 	"math/rand/v2": true,
 	"crypto/rand":  true,
+}
+
+// wallclockFuncs are the package time functions that observe or depend on
+// the wall clock. Pure constructors like time.Duration arithmetic are fine;
+// simulated time advances only through the drivers' tick loops.
+var wallclockFuncs = map[string]bool{
+	"Now":       true,
+	"Since":     true,
+	"Until":     true,
+	"Sleep":     true,
+	"After":     true,
+	"AfterFunc": true,
+	"Tick":      true,
+	"NewTimer":  true,
+	"NewTicker": true,
 }
 
 // dtFinding is one pre-computed detrace finding, stored per file so the
@@ -78,11 +109,35 @@ func (prog *Program) detraceFindings() map[*File][]dtFinding {
 
 	g := prog.CallGraph()
 	var roots []*FuncNode
-	for _, r := range detraceRoots {
-		roots = append(roots, g.Lookup(r.rel, r.name)...)
+	for _, r := range DeTraceRoots {
+		roots = append(roots, g.Lookup(r.Rel, r.Name)...)
 	}
 	if len(roots) == 0 {
 		return prog.detraceRes
+	}
+	// Package initialization runs before any root and hands it values:
+	// the init functions of every package a root imports, directly or
+	// not, start the walk too, and their var initializers are sources.
+	inited := make(map[*Package]bool)
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		pkg := prog.checkedPkgs[p.Path()]
+		if pkg == nil || inited[pkg] {
+			return
+		}
+		inited[pkg] = true
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	for _, r := range roots {
+		visit(r.Pkg.Types)
+	}
+	for _, pkg := range prog.Packages {
+		if inited[pkg] {
+			roots = append(roots, g.Lookup(pkg.Rel, "init")...)
+			prog.initSources(pkg)
+		}
 	}
 	parent := g.ReachableFrom(roots)
 
@@ -101,6 +156,30 @@ func (prog *Program) detraceFindings() map[*File][]dtFinding {
 		}
 	}
 	return prog.detraceRes
+}
+
+// initSources records the sources in pkg's package-level var
+// initializers.
+func (prog *Program) initSources(pkg *Package) {
+	for _, file := range pkg.Files {
+		for _, decl := range file.AST.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			ast.Inspect(gd, func(nd ast.Node) bool {
+				call, ok := nd.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if msg := callSource(pkg, file, call, prog.Fset.Position(call.Pos()).Line); msg != "" {
+					msg += "; package-level initializer in " + pkg.Rel + ", which runs before the determinism roots"
+					prog.detraceRes[file] = append(prog.detraceRes[file], dtFinding{node: call, msg: msg})
+				}
+				return true
+			})
+		}
+	}
 }
 
 // pathRoot walks the BFS parent chain back to the discovering root.
@@ -219,16 +298,19 @@ func callSource(pkg *Package, file *File, call *ast.CallExpr, line int) string {
 	if file.Deterministic(line) {
 		return ""
 	}
-	// Qualified package calls: rand.X / time.X.
-	if id, ok := sel.X.(*ast.Ident); ok {
-		if pn, ok := pkg.ObjectOf(id).(*types.PkgName); ok {
-			path := pn.Imported().Path()
-			switch {
-			case randPkgs[path]:
-				return "unseeded randomness from " + path + "." + sel.Sel.Name
-			case path == "time" && wallclockFuncs[sel.Sel.Name]:
-				return "wall-clock dependence via time." + sel.Sel.Name
-			}
+	// Calls into the rand packages (functions, and methods on their
+	// generators wherever those were built) and the time functions that
+	// read the wall clock; time.Time methods such as After are pure.
+	if fn, ok := pkg.ObjectOf(sel.Sel).(*types.Func); ok && fn.Pkg() != nil {
+		path := fn.Pkg().Path()
+		method := fn.Type().(*types.Signature).Recv() != nil
+		switch {
+		case randPkgs[path] && method:
+			return "randomness from a " + path + " generator (" + sel.Sel.Name + ") bypasses internal/rng"
+		case randPkgs[path]:
+			return "unseeded randomness from " + path + "." + sel.Sel.Name
+		case path == "time" && !method && wallclockFuncs[sel.Sel.Name]:
+			return "wall-clock dependence via time." + sel.Sel.Name
 		}
 	}
 	// sync.Map iteration: (*sync.Map).Range.

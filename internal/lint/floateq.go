@@ -7,11 +7,10 @@ import (
 )
 
 // FloatEq flags == and != where either operand's type has a
-// floating-point underlying type, outside test files. Exact float
-// comparison is almost always a latent bug in the statistics pipeline;
-// the rare legitimate exact checks (a zero that means "unset", a sort
-// tie-break, bit-exact oracle identity) take a //lint:ignore with the
-// justification spelled out.
+// floating-point underlying type. Exact float comparison is almost always
+// a latent bug in the statistics pipeline; the rare legitimate exact
+// checks (a zero that means "unset", a sort tie-break, bit-exact oracle
+// identity) take a //lint:ignore with the justification spelled out.
 var FloatEq = &Analyzer{
 	Name: "float-eq",
 	Doc:  "== / != between floating-point expressions; compare with a tolerance",
@@ -19,9 +18,6 @@ var FloatEq = &Analyzer{
 }
 
 func runFloatEq(pass *Pass) {
-	if pass.File.Test {
-		return
-	}
 	ast.Inspect(pass.File.AST, func(n ast.Node) bool {
 		be, ok := n.(*ast.BinaryExpr)
 		if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {

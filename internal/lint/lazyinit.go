@@ -9,10 +9,11 @@ import (
 // LazyInit flags unsynchronized lazy-initialization (memoization) on
 // types that are shared across goroutines: a pointer-receiver method that
 // guards work behind a nil check (`if x.f == nil { x.f = ... }`) or a
-// boolean memo flag (`if x.done { return }` … `x.done = true`) without a
-// mutex or sync.Once, on a type that either carries a Freeze/share
-// contract (it declares a Freeze method) or whose method is reachable
-// from spawned goroutines.
+// boolean flag (`if x.done { return }` … `x.done = true`, or
+// `if x.dirty { x.merge() }` with the write in the called slow path)
+// without a mutex or sync.Once, on a type that either carries a
+// Freeze/share contract (it declares a Freeze method) or whose method is
+// reachable from spawned goroutines.
 //
 // Two concurrent first calls both see the unset guard and both write —
 // at best duplicated work, at worst a torn structure read mid-build.
@@ -79,7 +80,7 @@ func (prog *Program) lazyFindings() map[*File][]dtFinding {
 		if recv == "" {
 			continue
 		}
-		for _, lz := range lazyGuards(n.Decl.Body, recv) {
+		for _, lz := range lazyGuards(n, recv) {
 			msg := fmt.Sprintf(
 				"unsynchronized lazy initialization of %s.%s (%s); %s — two concurrent first calls race on the write: initialize eagerly before sharing or guard with sync.Once",
 				tn, lz.field, lz.shape, reason)
@@ -155,15 +156,35 @@ type lazyGuard struct {
 	shape string
 }
 
-// lazyGuards finds the two memoization shapes on receiver fields:
+// lazyGuards finds the three memoization shapes on receiver fields:
 //
 //  1. nil guard:  if r.f == nil { r.f = ... }
 //  2. memo flag:  if r.done { return }  …  r.done = true
 //     (or the inverted  if !r.dirty { return }  …  r.dirty = false)
+//  3. flag guard: if r.dirty { r.merge() } where merge clears r.dirty
+//     (or the inverted  if !r.ranked { … r.ranked = true })
 //
-// Shape 2 only counts when the same function also writes the flag —
+// A write counts when it is in n itself or in a method n calls on its
+// receiver, so splitting a guard from its out-of-line slow path does not
+// hide it. Shape 2 only counts when the function also writes the flag —
 // otherwise it is an ordinary state check, not memoization.
-func lazyGuards(body *ast.BlockStmt, recv string) []lazyGuard {
+func lazyGuards(n *FuncNode, recv string) []lazyGuard {
+	body := n.Decl.Body
+	writes := func(root ast.Node, field string) bool {
+		if writesField(root, recv, field) {
+			return true
+		}
+		for _, e := range n.Callees {
+			call, ok := e.Site.(*ast.CallExpr)
+			if !ok || call.Pos() < root.Pos() || call.End() > root.End() || recvField(unwrapFun(call.Fun), recv) == "" {
+				continue
+			}
+			if r := recvName(e.Callee.Decl); r != "" && writesField(e.Callee.Decl.Body, r, field) {
+				return true
+			}
+		}
+		return false
+	}
 	var out []lazyGuard
 	ast.Inspect(body, func(nd ast.Node) bool {
 		ifs, ok := nd.(*ast.IfStmt)
@@ -173,22 +194,28 @@ func lazyGuards(body *ast.BlockStmt, recv string) []lazyGuard {
 		// Shape 1: if r.f == nil { … r.f = … }.
 		if bin, ok := ifs.Cond.(*ast.BinaryExpr); ok && bin.Op == token.EQL {
 			if field := recvField(bin.X, recv); field != "" && isNilIdent(bin.Y) {
-				if writesField(ifs.Body, recv, field) {
+				if writes(ifs.Body, field) {
 					out = append(out, lazyGuard{guard: ifs, field: field, shape: "nil-guarded write"})
 					return true
 				}
 			}
 		}
 		// Shape 2: if r.done { return } (possibly negated) with the flag
-		// written elsewhere in the function.
+		// written elsewhere in the function; shape 3: the guarded block
+		// writes the flag itself.
 		cond := ifs.Cond
 		if un, ok := cond.(*ast.UnaryExpr); ok && un.Op == token.NOT {
 			cond = un.X
 		}
-		if field := recvField(cond, recv); field != "" && isEarlyReturn(ifs.Body) {
-			if writesField(body, recv, field) {
+		field := recvField(cond, recv)
+		switch {
+		case field == "":
+		case isEarlyReturn(ifs.Body):
+			if writes(body, field) {
 				out = append(out, lazyGuard{guard: ifs, field: field, shape: "memo-flag early return"})
 			}
+		case writes(ifs.Body, field):
+			out = append(out, lazyGuard{guard: ifs, field: field, shape: "flag-guarded rebuild"})
 		}
 		return true
 	})

@@ -1,9 +1,15 @@
 // Package lint is a small, stdlib-only static-analysis framework enforcing
-// the determinism and concurrency invariants every quantitative claim of
-// this reproduction rests on: all randomness flows through internal/rng,
-// simulation packages never read the wall clock, floats are never compared
-// with ==, goroutines do not race on captured state, errors are not
-// silently dropped, and seeds are never hard-coded outside tests.
+// the determinism invariants every quantitative claim of this
+// reproduction rests on. Five rules run over the module's non-test files:
+//
+//   - detrace: no nondeterminism source (map order, select, randomness
+//     outside internal/rng, the wall clock, goroutine completion order)
+//     reaches a determinism-contract root through the call graph;
+//   - maporder: no map iteration leaks its order into output anywhere;
+//   - lazyinit: no unsynchronized lazy initialization on a type shared
+//     across goroutines;
+//   - float-eq: floats are never compared with == or !=;
+//   - unchecked-error: no error from a repo function is silently dropped.
 //
 // The framework uses only the standard library — go/ast for syntax and
 // go/types for every type it resolves (types.go) — so the repo stays
@@ -24,7 +30,6 @@ import (
 	"go/ast"
 	"go/token"
 	"sort"
-	"strings"
 )
 
 // Finding is one rule violation at a source position.
@@ -84,12 +89,8 @@ func (p *Pass) Report(n ast.Node, format string, args ...any) {
 // Analyzers returns the full rule suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		BannedImport,
-		NoWallclock,
 		FloatEq,
-		GoroutineCapture,
 		UncheckedError,
-		SeedLiteral,
 		DeTrace,
 		LazyInit,
 		MapOrder,
@@ -144,33 +145,4 @@ func Run(prog *Program, analyzers []*Analyzer) []Finding {
 		return a.Rule < b.Rule
 	})
 	return findings
-}
-
-// underDir reports whether rel (a slash-separated path relative to the
-// module root) is dir itself or nested below it.
-func underDir(rel, dir string) bool {
-	return rel == dir || strings.HasPrefix(rel, dir+"/")
-}
-
-// importName returns the name under which a file refers to the import with
-// the given path: the explicit alias if present, otherwise the path's last
-// element. It returns "" if the file does not import path ("." and "_"
-// imports are reported as unusable names).
-func importName(f *ast.File, path string) string {
-	for _, imp := range f.Imports {
-		if strings.Trim(imp.Path.Value, `"`) != path {
-			continue
-		}
-		if imp.Name != nil {
-			if imp.Name.Name == "." || imp.Name.Name == "_" {
-				return ""
-			}
-			return imp.Name.Name
-		}
-		if i := strings.LastIndex(path, "/"); i >= 0 {
-			return path[i+1:]
-		}
-		return path
-	}
-	return ""
 }

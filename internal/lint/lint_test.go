@@ -75,15 +75,21 @@ func runFixture(t *testing.T, a *Analyzer, dir string) {
 	}
 }
 
-func TestBannedImportFixture(t *testing.T)     { runFixture(t, BannedImport, "bannedimport") }
-func TestNoWallclockFixture(t *testing.T)      { runFixture(t, NoWallclock, "wallclock") }
-func TestFloatEqFixture(t *testing.T)          { runFixture(t, FloatEq, "floateq") }
-func TestGoroutineCaptureFixture(t *testing.T) { runFixture(t, GoroutineCapture, "goroutine") }
-func TestUncheckedErrorFixture(t *testing.T)   { runFixture(t, UncheckedError, "uncheckederr") }
-func TestSeedLiteralFixture(t *testing.T)      { runFixture(t, SeedLiteral, "seedliteral") }
-func TestDeTraceFixture(t *testing.T)          { runFixture(t, DeTrace, "detrace") }
-func TestLazyInitFixture(t *testing.T)         { runFixture(t, LazyInit, "lazyinit") }
-func TestMapOrderFixture(t *testing.T)         { runFixture(t, MapOrder, "maporder") }
+func TestFloatEqFixture(t *testing.T)        { runFixture(t, FloatEq, "floateq") }
+func TestUncheckedErrorFixture(t *testing.T) { runFixture(t, UncheckedError, "uncheckederr") }
+func TestDeTraceFixture(t *testing.T)        { runFixture(t, DeTrace, "detrace") }
+func TestLazyInitFixture(t *testing.T)       { runFixture(t, LazyInit, "lazyinit") }
+func TestMapOrderFixture(t *testing.T)       { runFixture(t, MapOrder, "maporder") }
+
+// TestBannedImportFixture pins detrace's randomness sources: calls into
+// each rand package and draws from a math/rand generator that a root
+// reaches, including through a package-level initializer.
+func TestBannedImportFixture(t *testing.T) { runFixture(t, DeTrace, "bannedimport") }
+
+// TestNoWallclockFixture pins detrace's wall-clock sources: each of the
+// nine time functions a root reaches, in its own package or another, and
+// in package initialization; time.Time methods stay silent.
+func TestNoWallclockFixture(t *testing.T) { runFixture(t, DeTrace, "wallclock") }
 
 // TestTypeErrorFixture pins strict checking: a tree that does not
 // type-check yields its type error as a "typecheck" finding, and the

@@ -12,15 +12,14 @@ import (
 	"strings"
 )
 
-// File is one parsed source file plus the suppression directives it carries.
+// File is one parsed non-test source file plus the suppression directives
+// it carries.
 type File struct {
 	// Path is the file path as given to the parser (relative to the
 	// loader's working directory).
 	Path string
 	// AST is the parsed file, with comments attached.
 	AST *ast.File
-	// Test reports whether the file name ends in _test.go.
-	Test bool
 
 	// ignores maps a source line to the rule names suppressed there. A
 	// //lint:ignore directive attaches to its enclosing statement (the
@@ -50,18 +49,17 @@ func (f *File) Deterministic(line int) bool {
 type Package struct {
 	// Dir is the directory path as walked.
 	Dir string
-	// Name is the package name of the first non-test file (or first file).
+	// Name is the package name of its files.
 	Name string
 	// Rel is Dir relative to the module root, slash-separated; "." for the
-	// root itself. Rules scope themselves with Rel so fixtures that mimic
-	// the repo layout behave identically to the real tree.
+	// root itself. Determinism roots name packages by Rel, so fixtures that
+	// mimic the repo layout behave identically to the real tree.
 	Rel string
-	// Files are the package's files, tests included, in name order.
+	// Files are the package's non-test files, in name order.
 	Files []*File
 
-	// Typed layer, populated by Program.Check. TypesInfo is non-nil for
-	// every package once checked; Types is nil for a package of test files
-	// only, which the checker skips.
+	// Typed layer, populated by Program.Check; non-nil for every package
+	// once checked.
 	Types     *types.Package
 	TypesInfo *types.Info
 }
@@ -94,10 +92,12 @@ type Program struct {
 	lazyRes     map[*File][]dtFinding
 }
 
-// Load parses every Go file under root (recursively), skipping testdata,
-// vendor, hidden, and underscore-prefixed directories. The module root is
-// found by walking up from root to the nearest go.mod; package Rel paths
-// are computed against it so analyzers can scope rules by repo layout.
+// Load parses every non-test Go file under root (recursively), skipping
+// testdata, vendor, hidden, and underscore-prefixed directories. Test
+// files are outside the determinism contract, so no rule reads them. The
+// module root is found by walking up from root to the nearest go.mod;
+// package Rel paths are computed against it so determinism roots name
+// packages by repo layout.
 func Load(root string) (*Program, error) {
 	return LoadAt(root, findModuleRoot(filepath.Clean(root)))
 }
@@ -149,8 +149,8 @@ func LoadAt(root, modRoot string) (*Program, error) {
 	return prog, nil
 }
 
-// loadDir parses the Go files of a single directory; it returns nil when
-// the directory has none.
+// loadDir parses the non-test Go files of a single directory; it returns
+// nil when the directory has none.
 func (prog *Program) loadDir(dir, modRoot string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -163,7 +163,7 @@ func (prog *Program) loadDir(dir, modRoot string) (*Package, error) {
 	pkg := &Package{Dir: dir, Rel: filepath.ToSlash(rel)}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
 			continue
 		}
 		path := filepath.Join(dir, name)
@@ -171,15 +171,9 @@ func (prog *Program) loadDir(dir, modRoot string) (*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		file := &File{
-			Path: path,
-			AST:  astFile,
-			Test: strings.HasSuffix(name, "_test.go"),
-		}
+		file := &File{Path: path, AST: astFile}
 		prog.collectIgnores(file)
-		if pkg.Name == "" || !file.Test {
-			pkg.Name = astFile.Name.Name
-		}
+		pkg.Name = astFile.Name.Name
 		pkg.Files = append(pkg.Files, file)
 	}
 	if len(pkg.Files) == 0 {

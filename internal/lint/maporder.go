@@ -35,9 +35,6 @@ var mapOrderKinds = map[string]bool{
 }
 
 func runMapOrder(pass *Pass) {
-	if pass.File.Test {
-		return
-	}
 	for _, decl := range pass.File.AST.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {

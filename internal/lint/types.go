@@ -37,8 +37,8 @@ func (prog *Program) Check() {
 	}
 }
 
-// TypeOf returns the type of e in pkg, or nil when e is not in a checked
-// file (test files are not type-checked).
+// TypeOf returns the type of e in pkg, or nil when the checker recorded
+// none.
 func (pkg *Package) TypeOf(e ast.Expr) types.Type {
 	return pkg.TypesInfo.TypeOf(e)
 }
@@ -68,9 +68,7 @@ func (pkg *Package) ImportPath(modulePath string) string {
 }
 
 // checkPackage type-checks one package (memoized), resolving its imports
-// recursively. Only non-test files participate: the determinism contract
-// is about library and command code, and external test packages would not
-// merge into one checkable unit anyway.
+// recursively.
 func (prog *Program) checkPackage(pkg *Package) *types.Package {
 	path := pkg.ImportPath(prog.ModulePath)
 	if done, ok := prog.checkedPkgs[path]; ok {
@@ -87,14 +85,9 @@ func (prog *Program) checkPackage(pkg *Package) *types.Package {
 		Implicits:  make(map[ast.Node]types.Object),
 	}
 
-	var files []*ast.File
-	for _, f := range pkg.Files {
-		if !f.Test {
-			files = append(files, f.AST)
-		}
-	}
-	if len(files) == 0 {
-		return nil
+	files := make([]*ast.File, len(pkg.Files))
+	for i, f := range pkg.Files {
+		files[i] = f.AST
 	}
 	conf := types.Config{
 		Importer:    prog.importer,
@@ -129,7 +122,7 @@ func (im *progImporter) ImportFrom(path, dir string, mode types.ImportMode) (*ty
 		if tpkg := im.prog.checkPackage(pkg); tpkg != nil {
 			return tpkg, nil
 		}
-		return nil, fmt.Errorf("lint: package %s has no checkable files", path)
+		return nil, fmt.Errorf("lint: import cycle through %s", path)
 	}
 	return im.std.ImportFrom(path, dir, 0)
 }

@@ -19,9 +19,6 @@ var UncheckedError = &Analyzer{
 }
 
 func runUncheckedError(pass *Pass) {
-	if pass.File.Test {
-		return
-	}
 	ast.Inspect(pass.File.AST, func(n ast.Node) bool {
 		stmt, ok := n.(*ast.ExprStmt)
 		if !ok {

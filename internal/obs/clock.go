@@ -8,8 +8,9 @@ import (
 // Clock supplies the current time in seconds since an arbitrary origin.
 // Inside internal/ packages the implementation is always simulated time
 // (SimClock, advanced by the tick loop); only cmd/ binaries may inject a
-// wall clock. This inversion is what keeps the no-wallclock lint rule
-// clean over the whole telemetry layer with zero suppressions.
+// wall clock. This inversion keeps wall-clock reads out of every call
+// path from a determinism root, so detrace needs no suppression in the
+// telemetry layer.
 type Clock interface {
 	Seconds() float64
 }

@@ -17,15 +17,14 @@ import (
 
 // FastConfig configures the aggregated driver.
 type FastConfig struct {
-	// Topology selects the world the epidemic spreads over. nil and
-	// topo.IPv4 both mean the reference IPv4 world — the paper's flat
-	// address space, driven by Pop/Model below. A topo.Graph runs the
-	// neighbor-graph driver instead, in which case the IPv4-only fields
-	// (Pop, Model, BlockedDst, Sensors, SensorSet, LossRate,
-	// Containment, Faults) must be unset — they have no graph semantics
-	// and are rejected with a *TopologyConflictError rather than
-	// silently ignored.
-	Topology topo.Topology
+	// Topology selects the world the epidemic spreads over. nil means the
+	// reference IPv4 world — the paper's flat address space, driven by
+	// Pop/Model below. A graph world runs the neighbor-graph driver
+	// instead, in which case the IPv4-only fields (Pop, Model,
+	// BlockedDst, Sensors, SensorSet, LossRate, Containment, Faults) must
+	// be unset — they have no graph semantics and are rejected with a
+	// *TopologyConflictError rather than silently ignored.
+	Topology topo.Graph
 	// Pop is the vulnerable population.
 	Pop *population.Population
 	// Model decomposes the scanner into mixture components.
@@ -172,16 +171,10 @@ func checkSlotCeiling(hosts int) error {
 // approximation switch inside rng.Poisson).
 const fastSkipLambda = 1.0
 
-// slotSpan is a half-open slot range [Lo, Hi) — topo.Span, which the
-// IPv4 reference topology constructs; the driver keeps the local alias
-// because span geometry is host layout, not set algebra.
+// slotSpan is a half-open slot range [Lo, Hi) — topo.Span, which
+// topo.VictimSpans constructs; the driver keeps the local alias because
+// span geometry is host layout, not set algebra.
 type slotSpan = topo.Span
-
-// ipv4World is the reference topology whose pure helpers (victim-span
-// construction, sensor embedding) the driver routes pool building
-// through. It is stateless; a package-level value keeps call sites
-// terse.
-var ipv4World topo.IPv4
 
 // fastComp is one precomputed mixture component of a group. Its victim
 // pool is an immutable union of slot spans; liveness is resolved
@@ -355,10 +348,8 @@ type fastState struct {
 // would. Results are byte-identical for every worker count and for the
 // quiescent-tick fast path (DESIGN.md §14).
 func RunFast(cfg FastConfig) (*Result, error) {
-	if g, err := graphTopology(cfg.Topology); err != nil {
-		return nil, err
-	} else if g != nil {
-		return runFastGraph(cfg, g)
+	if cfg.Topology != nil {
+		return runFastGraph(cfg, cfg.Topology)
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -1074,13 +1065,13 @@ func (st *fastState) compDataFor(set *ipv4.Set, site int) *compData {
 		eff = set.Subtract(st.cfg.BlockedDst)
 	}
 	addrs, lo := st.pop.Region(site)
-	d.spans = ipv4World.VictimSpans(addrs, int32(lo), eff, d.spans)
+	d.spans = topo.VictimSpans(addrs, int32(lo), eff, d.spans)
 	d.cumLive = make([]int64, len(d.spans))
 	if site == population.NoSite && st.cfg.Sensors != nil && st.cfg.SensorSet != nil {
 		// Phase-1 workers Select from the embedded set concurrently;
 		// EmbedSensors freezes its lazy indexes while construction is
 		// still serial.
-		inter := ipv4World.EmbedSensors(st.cfg.SensorSet, set, st.cfg.BlockedDst)
+		inter := topo.EmbedSensors(st.cfg.SensorSet, set, st.cfg.BlockedDst)
 		d.sensorInter = inter
 		d.sensorSize = inter.Size()
 	}

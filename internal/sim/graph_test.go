@@ -252,12 +252,6 @@ func TestGraphConfigConflicts(t *testing.T) {
 			t.Fatalf("fast %s: conflict names %q on %q", tc.field, conflict.Field, conflict.Topology)
 		}
 	}
-	// Explicit IPv4 topology falls through to the reference path.
-	okCfg := ExactConfig{Topology: topo.IPv4{}, Pop: pop, Factory: worm.UniformFactory{},
-		ScanRate: 100, TickSeconds: 1, MaxSeconds: 10, SeedHosts: 2, Seed: 1}
-	if _, err := RunExact(okCfg); err != nil {
-		t.Fatalf("explicit topo.IPv4 rejected: %v", err)
-	}
 }
 
 func TestGraphSeedHostsRange(t *testing.T) {

@@ -101,14 +101,14 @@ func (r *Result) TimeToFraction(f float64) (float64, bool) {
 
 // ExactConfig configures the probe-exact driver.
 type ExactConfig struct {
-	// Topology selects the world the epidemic spreads over. nil and
-	// topo.IPv4 both mean the reference IPv4 world — the paper's flat
-	// address space, driven by Pop/Factory/Env below. A topo.Graph runs
-	// the neighbor-graph driver instead, in which case the IPv4-only
-	// fields (Pop, Factory, Env, SensorSet, OnProbe, Faults) must be nil
-	// — they have no graph semantics and are rejected with a
-	// *TopologyConflictError rather than silently ignored.
-	Topology topo.Topology
+	// Topology selects the world the epidemic spreads over. nil means the
+	// reference IPv4 world — the paper's flat address space, driven by
+	// Pop/Factory/Env below. A graph world runs the neighbor-graph driver
+	// instead, in which case the IPv4-only fields (Pop, Factory, Env,
+	// SensorSet, OnProbe, Faults) must be nil — they have no graph
+	// semantics and are rejected with a *TopologyConflictError rather
+	// than silently ignored.
+	Topology topo.Graph
 	// Pop is the vulnerable population.
 	Pop *population.Population
 	// Factory builds each infected host's target generator.
@@ -253,10 +253,8 @@ func (w *exactWorker) reset() {
 // resolve first-agent-wins, and OnProbe callbacks replay in a fixed
 // order. Results are byte-identical for every worker count.
 func RunExact(cfg ExactConfig) (*Result, error) {
-	if g, err := graphTopology(cfg.Topology); err != nil {
-		return nil, err
-	} else if g != nil {
-		return runExactGraph(cfg, g)
+	if cfg.Topology != nil {
+		return runExactGraph(cfg, cfg.Topology)
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -6,23 +6,6 @@ import (
 	"repro/internal/topo"
 )
 
-// graphTopology resolves a config's Topology field to the graph world it
-// names, if any. A nil Topology and the explicit topo.IPv4 both mean the
-// reference IPv4 world, which runs on the drivers' original path; any
-// topo.Graph runs on the graph drivers; anything else is unsupported.
-func graphTopology(t topo.Topology) (topo.Graph, error) {
-	switch w := t.(type) {
-	case nil:
-		return nil, nil
-	case topo.IPv4:
-		return nil, nil
-	case topo.Graph:
-		return w, nil
-	default:
-		return nil, fmt.Errorf("sim: unsupported topology %q (%T)", t.Name(), t)
-	}
-}
-
 // TopologyConflictError reports a config field that has no defined
 // semantics under the run's topology. The drivers refuse such configs
 // instead of silently ignoring the field: a caller who set NAT-site

@@ -306,7 +306,7 @@ func (w *World) markSensors() {
 	w.nSensors = w.cfg.Sensors
 }
 
-// Name implements topo.Topology.
+// Name implements topo.Graph.
 func (w *World) Name() string { return "proxgraph" }
 
 // Nodes implements topo.Graph.

@@ -1,19 +1,13 @@
-// Package topo abstracts the world a simulated epidemic spreads over.
+// Package topo describes the worlds a simulated epidemic spreads over.
 //
-// The drivers in internal/sim historically hard-coded the paper's flat
-// IPv4 assumption: victims live at 32-bit addresses, scanners draw
-// addresses from interval sets, and sensors are address blocks. A
-// Topology names that world explicitly and carries the four things a
-// driver needs from it: the address universe and its rank/select
-// structure, victim-pool construction over the population, how a worm
-// reaches its next victim (global scanning vs neighbor-list traversal),
-// and where sensors sit inside the universe. IPv4 is the reference
-// implementation — its methods are pure extractions of the fast
-// driver's pool math, so routing the driver through them is
-// byte-identical to the pre-extraction code (pinned by
-// TestIPv4GoldenByteIdentity in internal/sim). Graph worlds such as
-// proxgraph spread over neighbor lists instead; DESIGN.md §15 states
-// the determinism contract every world must meet.
+// A driver config's Topology field holds a Graph: a neighbor-structured
+// world such as proxgraph, where a worm reaches its next victim through
+// an adjacency list. nil means the paper's flat IPv4 address space, the
+// reference world, where victim pools are span unions over address-sorted
+// host slots (VictimSpans) and sensors are address blocks embedded by
+// interval-set intersection (EmbedSensors). Both helpers are pure
+// functions of their inputs. DESIGN.md §15 states the determinism
+// contract every world must meet.
 package topo
 
 import (
@@ -23,38 +17,11 @@ import (
 	"repro/internal/ipv4"
 )
 
-// Topology is the world a run spreads over. A nil Topology in a driver
-// config means IPv4{}, the reference world; the drivers dispatch on the
-// dynamic type, so a Topology is either IPv4 or a Graph.
-type Topology interface {
-	// Name is a stable identifier ("ipv4", "proxgraph") used in scenario
-	// serialization, checkpoint keys, and error messages.
-	Name() string
-}
-
 // Span is a half-open slot range [Lo, Hi) over address-sorted hosts.
 // Victim pools in the fast driver are unions of spans: membership is
 // positional, so liveness can stay in a shared index and the spans
 // themselves never change after construction.
 type Span struct{ Lo, Hi int32 }
-
-// IPv4 is the reference topology: the flat 2³² address universe of the
-// paper, with victim pools built as span unions over address-sorted host
-// slots and sensors embedded by interval-set intersection. All
-// methods are pure functions of their inputs.
-type IPv4 struct{}
-
-// Name implements Topology.
-func (IPv4) Name() string { return "ipv4" }
-
-// Universe returns the number of addresses in the world.
-func (IPv4) Universe() uint64 { return 1 << 32 }
-
-// Rank returns the number of slots in the address-sorted slice addrs
-// whose address is strictly below a — the slot rank of a.
-func (IPv4) Rank(addrs []ipv4.Addr, a ipv4.Addr) int {
-	return sort.Search(len(addrs), func(i int) bool { return addrs[i] >= a })
-}
 
 // VictimSpans maps a target set onto an address-sorted region of slots,
 // appending one Span per interval that covers at least one slot. addrs
@@ -62,7 +29,7 @@ func (IPv4) Rank(addrs []ipv4.Addr, a ipv4.Addr) int {
 // returned spans index all slots, not the region. Spans cover
 // every host in the set regardless of infection state — liveness lives
 // in the driver's shared index — so the result is immutable.
-func (IPv4) VictimSpans(addrs []ipv4.Addr, base int32, set *ipv4.Set, dst []Span) []Span {
+func VictimSpans(addrs []ipv4.Addr, base int32, set *ipv4.Set, dst []Span) []Span {
 	for _, iv := range set.Intervals() {
 		lo := sort.Search(len(addrs), func(i int) bool { return addrs[i] >= iv.Lo })
 		hi := sort.Search(len(addrs), func(i int) bool { return addrs[i] > iv.Hi })
@@ -77,7 +44,7 @@ func (IPv4) VictimSpans(addrs []ipv4.Addr, base int32, set *ipv4.Set, dst []Span
 // target set, removes hard-blocked space, and freezes the result so
 // parallel phase-1 workers can Select from it concurrently. The
 // returned set may be empty; it is never nil.
-func (IPv4) EmbedSensors(sensorSet, set, blocked *ipv4.Set) *ipv4.Set {
+func EmbedSensors(sensorSet, set, blocked *ipv4.Set) *ipv4.Set {
 	inter := sensorSet.Intersect(set)
 	if blocked != nil {
 		inter = inter.Subtract(blocked)
@@ -86,12 +53,14 @@ func (IPv4) EmbedSensors(sensorSet, set, blocked *ipv4.Set) *ipv4.Set {
 	return inter
 }
 
-// Graph is a neighbor-structured Topology: a fixed node set where an
+// Graph is a neighbor-structured world: a fixed node set where an
 // infected node probes only its own adjacency list. Node ids are
 // 0..Nodes()-1 and double as the world's addresses (trace events record
 // the victim's node id in the Addr field).
 type Graph interface {
-	Topology
+	// Name is a stable identifier ("proxgraph") used in scenario
+	// serialization, checkpoint keys, and error messages.
+	Name() string
 	// Nodes returns the node count.
 	Nodes() int
 	// Degree returns node's neighbor count. Isolated nodes (degree 0)

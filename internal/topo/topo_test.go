@@ -16,7 +16,7 @@ func TestIPv4VictimSpansMatchesBruteForce(t *testing.T) {
 		ipv4.Interval{Lo: 100, Hi: 150},
 		ipv4.Interval{Lo: 250, Hi: 255},
 	)
-	spans := IPv4{}.VictimSpans(addrs, 7, set, nil)
+	spans := VictimSpans(addrs, 7, set, nil)
 	// Brute force: the covered slots, shifted by the base.
 	var want []int32
 	for i, a := range addrs {
@@ -46,7 +46,7 @@ func TestIPv4VictimSpansMatchesBruteForce(t *testing.T) {
 func TestIPv4VictimSpansEmptyIntersection(t *testing.T) {
 	addrs := []ipv4.Addr{10, 20, 30}
 	set := ipv4.NewSet(ipv4.Interval{Lo: 100, Hi: 200})
-	if spans := (IPv4{}).VictimSpans(addrs, 0, set, nil); len(spans) != 0 {
+	if spans := VictimSpans(addrs, 0, set, nil); len(spans) != 0 {
 		t.Fatalf("expected no spans, got %v", spans)
 	}
 }
@@ -55,7 +55,7 @@ func TestIPv4EmbedSensors(t *testing.T) {
 	sensors := ipv4.NewSet(ipv4.Interval{Lo: 100, Hi: 199})
 	target := ipv4.NewSet(ipv4.Interval{Lo: 0, Hi: 149})
 	blocked := ipv4.NewSet(ipv4.Interval{Lo: 120, Hi: 129})
-	inter := IPv4{}.EmbedSensors(sensors, target, blocked)
+	inter := EmbedSensors(sensors, target, blocked)
 	if inter == nil {
 		t.Fatal("nil intersection")
 	}
@@ -63,31 +63,12 @@ func TestIPv4EmbedSensors(t *testing.T) {
 		t.Fatalf("embedded sensor size %d, want %d", got, want)
 	}
 	// Nil blocked set and empty results are both legal.
-	if got := (IPv4{}).EmbedSensors(sensors, target, nil).Size(); got != 50 {
+	if got := EmbedSensors(sensors, target, nil).Size(); got != 50 {
 		t.Fatalf("unblocked size %d, want 50", got)
 	}
 	none := ipv4.NewSet(ipv4.Interval{Lo: 300, Hi: 400})
-	if got := (IPv4{}).EmbedSensors(sensors, none, nil); got == nil || got.Size() != 0 {
+	if got := EmbedSensors(sensors, none, nil); got == nil || got.Size() != 0 {
 		t.Fatalf("empty intersection should be a non-nil empty set, got %v", got)
-	}
-}
-
-func TestIPv4RankAndUniverse(t *testing.T) {
-	addrs := []ipv4.Addr{5, 10, 20}
-	w := IPv4{}
-	for _, tc := range []struct {
-		a    ipv4.Addr
-		want int
-	}{{0, 0}, {5, 0}, {6, 1}, {10, 1}, {15, 2}, {21, 3}} {
-		if got := w.Rank(addrs, tc.a); got != tc.want {
-			t.Errorf("Rank(%d) = %d, want %d", tc.a, got, tc.want)
-		}
-	}
-	if w.Universe() != 1<<32 {
-		t.Fatalf("Universe() = %d", w.Universe())
-	}
-	if w.Name() != "ipv4" {
-		t.Fatalf("Name() = %q", w.Name())
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // reproduction to the oracle that originally fired.
 const (
 	OracleByteIdentity = "byte-identity"  // Workers=1 vs Workers=N + JSON round-trip
-	OracleFastIdentity = "fast-identity"  // fast driver: Workers=1 vs N, tick-skip on vs off
+	OracleFastIdentity = "fast-identity"  // fast driver: Workers=1 vs N
 	OracleInvariant    = "invariant"      // conservation, monotonicity, consistency
 	OracleFleet        = "fleet"          // sensor accounting vs outcome counts
 	OracleDifferential = "differential"   // exact vs fast trajectories
@@ -139,7 +139,7 @@ func CheckScenario(sc Scenario) (*Report, error) {
 		// a spatial world different outbreak origins legitimately produce
 		// different curves, so an envelope over replicas has no meaning.
 		seed := fastReplicaSeed(sc.SimSeed, 0)
-		fr, err := runFast(&sc, a, seed, 1, false)
+		fr, err := runFast(&sc, a, seed, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -157,7 +157,7 @@ func CheckScenario(sc Scenario) (*Report, error) {
 		fasts := make([]*runOutput, 0, fastReplicas)
 		for i := 0; i < fastReplicas; i++ {
 			seed := fastReplicaSeed(sc.SimSeed, i)
-			fr, err := runFast(&sc, a, seed, 1, false)
+			fr, err := runFast(&sc, a, seed, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -182,34 +182,23 @@ func CheckScenario(sc Scenario) (*Report, error) {
 }
 
 // checkFastIdentity audits the fast driver's own determinism contract: its
-// Workers count and quiescent-tick fast path are throughput knobs, so
-// re-running the first replica with parallel workers, and again with the
-// fast path disabled, must reproduce its serialized output byte for byte.
+// Workers count is a throughput knob, so re-running the first replica with
+// parallel workers must reproduce its serialized output byte for byte.
+// The parallel run also mixes one-shard quiescent ticks with N-shard
+// ticks, so the quiescent-tick path is held to the serial run too.
 func checkFastIdentity(rep *Report, sc *Scenario, a *artifacts, serial *runOutput) error {
 	fw := sc.FastWorkers
 	if fw < 2 {
 		fw = 2 // pre-field corpus seeds still get a parallel check
 	}
-	want := serializeRun(serial)
-	seed := fastReplicaSeed(sc.SimSeed, 0)
-	variants := []struct {
-		label   string
-		workers int
-		noskip  bool
-	}{
-		{fmt.Sprintf("Workers=%d", fw), fw, false},
-		{"DisableTickSkip", 1, true},
+	again, err := runFast(sc, a, fastReplicaSeed(sc.SimSeed, 0), fw)
+	if err != nil {
+		return err
 	}
-	for _, v := range variants {
-		again, err := runFast(sc, a, seed, v.workers, v.noskip)
-		if err != nil {
-			return err
-		}
-		if got := serializeRun(again); got != want {
-			rep.addf(OracleFastIdentity,
-				"fast run with %s diverged from the serial fast run: %s",
-				v.label, firstDiff(want, got))
-		}
+	if got, want := serializeRun(again), serializeRun(serial); got != want {
+		rep.addf(OracleFastIdentity,
+			"fast run with Workers=%d diverged from the serial fast run: %s",
+			fw, firstDiff(want, got))
 	}
 	return nil
 }

@@ -282,11 +282,11 @@ func runExactCtx(ctx context.Context, sc *Scenario, a *artifacts, workers int) (
 }
 
 // runFast executes the scenario on the fast driver with the given seed
-// (differential replicas run under distinct derived seeds), worker count,
-// and tick-skip setting. The latter two are throughput knobs the driver
-// guarantees are output-invariant; the parallel-fast identity oracle
-// re-runs one replica with them varied.
-func runFast(sc *Scenario, a *artifacts, seed uint64, workers int, noskip bool) (*runOutput, error) {
+// (differential replicas run under distinct derived seeds) and worker
+// count. The worker count is a throughput knob the driver guarantees is
+// output-invariant; the parallel-fast identity oracle re-runs one replica
+// with it varied.
+func runFast(sc *Scenario, a *artifacts, seed uint64, workers int) (*runOutput, error) {
 	rec := trace.NewRecorder(0)
 	clk := &obs.SimClock{}
 	out := &runOutput{trace: rec}
@@ -298,7 +298,6 @@ func runFast(sc *Scenario, a *artifacts, seed uint64, workers int, noskip bool) 
 		SeedHosts:        sc.SeedHosts,
 		Seed:             seed,
 		Workers:          workers,
-		DisableTickSkip:  noskip,
 		StopWhenInfected: sc.StopWhenInfect,
 		Trace:            rec,
 		Clock:            clk,

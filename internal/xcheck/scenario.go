@@ -18,7 +18,7 @@
 //     trajectories and sensor-hit rates must agree within sampling
 //     tolerance. The exact driver must also be byte-identical across
 //     worker counts and across a JSON round-trip of the scenario, and the
-//     fast driver across its own worker counts and tick-skip settings.
+//     fast driver across its own worker counts.
 //   - Invariant: properties every run must satisfy unconditionally —
 //     probe-outcome conservation, monotone cumulative infections,
 //     infection-time/series consistency, and sensor-fleet accounting

@@ -1,16 +1,15 @@
 package hotspots_test
 
-// This test makes the determinism and concurrency invariants
-// self-enforcing: the full internal/lint suite runs over the repository on
-// every `go test ./...`, so a regression in any rule — a stray math/rand
-// import, a wall-clock read in a simulation package, a float ==, an
-// unsynchronized goroutine write, a dropped error, a hard-coded seed, a
-// nondeterminism source reaching a determinism root (detrace), an
-// unsynchronized lazy init on a shared type (lazyinit), or a map
-// iteration leaking its order (maporder) — fails the build. Suppressions
-// require a written justification (//lint:ignore <rule> <reason> or
-// //lint:deterministic <why>); reasonless directives are themselves
-// findings.
+// This test makes the determinism invariants self-enforcing: the full
+// internal/lint suite runs over the repository's non-test files on every
+// `go test ./...`, so a regression in any of its five rules — a
+// nondeterminism source such as math/rand, the wall clock or map order
+// reaching a determinism root (detrace), a map iteration leaking its
+// order anywhere (maporder), an unsynchronized lazy init on a shared type
+// (lazyinit), a float == (float-eq), or a dropped error (unchecked-error)
+// — fails the build. Suppressions require a written justification
+// (//lint:ignore <rule> <reason> or //lint:deterministic <why>);
+// reasonless directives are themselves findings.
 
 import (
 	"sync"
@@ -59,19 +58,15 @@ func TestRepositoryPassesLintSuite(t *testing.T) {
 }
 
 // TestTypedLayerCoversRepository pins the call graph to the real tree: it
-// must see the determinism roots. That every package type-checks is pinned
-// by the suite above, which reports each type error as a "typecheck"
-// finding.
+// must see every determinism root detrace starts from, so a renamed or
+// moved entry point cannot silently drop its call tree out of the check.
+// That every package type-checks is pinned by the suite above, which
+// reports each type error as a "typecheck" finding.
 func TestTypedLayerCoversRepository(t *testing.T) {
 	g := loadRepo(t).CallGraph()
-	for _, root := range []struct{ rel, name string }{
-		{"internal/sim", "RunExact"},
-		{"internal/sim", "RunFast"},
-		{"internal/sweep", "Run"},
-		{"internal/xcheck", "CheckScenario"},
-	} {
-		if len(g.Lookup(root.rel, root.name)) == 0 {
-			t.Errorf("call graph lost determinism root %s.%s", root.rel, root.name)
+	for _, root := range lint.DeTraceRoots {
+		if len(g.Lookup(root.Rel, root.Name)) == 0 {
+			t.Errorf("call graph lost determinism root %s.%s", root.Rel, root.Name)
 		}
 	}
 }

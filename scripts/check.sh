@@ -20,7 +20,7 @@ if ! go run ./cmd/reprolint -baseline lint.baseline ./... | tee .lint/findings.t
   echo "reprolint: findings recorded in .lint/findings.txt and .lint/findings.json"
   exit 1
 fi
-echo "reprolint: clean in $(( $(date +%s) - lint_start ))s (9 analyzers, typed whole-module pass)"
+echo "reprolint: clean in $(( $(date +%s) - lint_start ))s ($(go run ./cmd/reprolint -list | wc -l | tr -d ' ') analyzers, typed whole-module pass)"
 
 echo "==> go test ./..."
 go test ./...
