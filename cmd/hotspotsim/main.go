@@ -30,7 +30,6 @@ import (
 	"repro/internal/ipv4"
 	"repro/internal/obs"
 	"repro/internal/population"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/textplot"
@@ -385,9 +384,7 @@ func simulateRun(ctx context.Context, p simParams, sess *obsflags.Session) (runS
 		}
 		prefixes := fleet.Prefixes()
 		withdrawn = int(p.outage*float64(len(prefixes)) + 0.5)
-		orderRNG := rng.NewXoshiro(rng.Mix64(fcfg.Seed ^ 0x6f7574616765)) // "outage"
-		order := orderRNG.SampleWithoutReplacement(len(prefixes), len(prefixes))
-		for _, idx := range order[:withdrawn] {
+		for _, idx := range faults.WithdrawalOrder(fcfg.Seed, len(prefixes))[:withdrawn] {
 			fcfg.Outages = append(fcfg.Outages, faults.OutageConfig{
 				Block: prefixes[idx].String(),
 				Start: 0,

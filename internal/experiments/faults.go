@@ -18,7 +18,6 @@ import (
 	"repro/internal/ipv4"
 	"repro/internal/obs"
 	"repro/internal/population"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/worm"
@@ -65,6 +64,19 @@ func DefaultExtFaults(seed uint64) ExtFaultsConfig {
 		BurstMeanBad:    10,
 		QuorumFraction:  0.15,
 	}
+}
+
+// extFaultsFleet places one detector per populated /16, densest /16
+// first, and returns the fleet with the seed-pinned random order in which
+// outages withdraw it: fraction f withdraws the order's first ⌈f·N⌉
+// detectors, so selections nest across the sweep.
+func extFaultsFleet(pop *population.Population, seed uint64) ([]ipv4.Prefix, []int) {
+	var slash16s []uint32
+	for _, sc := range pop.Slash16Histogram() {
+		slash16s = append(slash16s, sc.Network)
+	}
+	placements := detect.OnePerSlash16(slash16s, seed+3)
+	return placements, faults.WithdrawalOrder(seed, len(placements))
 }
 
 // extFaultsPoint is one grid point of the sweep.
@@ -123,16 +135,7 @@ func RunExtFaults(cfg ExtFaultsConfig) (*Result, error) {
 	}
 	prefixes, cover := worm.BuildGreedySlash16HitList(pop.Addrs(false), cfg.HitListSize)
 	set := ipv4.SetOfPrefixes(prefixes...)
-	var slash16s []uint32
-	for _, sc := range pop.Slash16Histogram() {
-		slash16s = append(slash16s, sc.Network)
-	}
-	placements := detect.OnePerSlash16(slash16s, cfg.Fig5.Seed+3)
-
-	// One seed-pinned shuffle of the fleet; fraction f withdraws its first
-	// ⌈f·N⌉ detectors, so selections nest across the sweep.
-	orderRNG := rng.NewXoshiro(rng.Mix64(cfg.Fig5.Seed ^ 0x6f7574616765)) // "outage"
-	order := orderRNG.SampleWithoutReplacement(len(placements), len(placements))
+	placements, order := extFaultsFleet(pop, cfg.Fig5.Seed)
 
 	var grid []extFaultsPoint
 	for _, b := range cfg.BurstLosses {

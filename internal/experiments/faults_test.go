@@ -8,8 +8,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/ipv4"
 	"repro/internal/obs"
+	"repro/internal/population"
 	"repro/internal/sweep"
+	"repro/internal/worm"
 )
 
 // extFaultsTestConfig is a reduced quick-scale grid shared by the tests.
@@ -148,5 +151,45 @@ func TestExtFaultsValidation(t *testing.T) {
 	bad.BurstMeanGood = 0
 	if _, err := RunExtFaults(bad); err == nil {
 		t.Error("burst loss without dwell means accepted")
+	}
+}
+
+// TestExtFaultsWithdrawsARandomFifth checks the full-scale ext-faults
+// fleet at seed 1: the detectors a 20 % outage withdraws must be a random
+// fifth of the fleet, not its first fifth. The fleet is listed densest /16
+// first, which is the space the greedy hit list covers, so withdrawing the
+// first fifth would take out only hit-list detectors and leave the others
+// untouched; a random fifth takes hit-list detectors in about their share
+// of the fleet.
+func TestExtFaultsWithdrawsARandomFifth(t *testing.T) {
+	cfg := DefaultExtFaults(1)
+	pop, err := population.Synthesize(cfg.Fig5.Pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixes, _ := worm.BuildGreedySlash16HitList(pop.Addrs(false), cfg.HitListSize)
+	hitList := ipv4.SetOfPrefixes(prefixes...)
+	placements, order := extFaultsFleet(pop, cfg.Fig5.Seed)
+	n := int(0.2*float64(len(placements)) + 0.5)
+	first, inList := true, 0
+	for i, idx := range order[:n] {
+		first = first && idx == i
+		if hitList.Contains(placements[idx].First()) {
+			inList++
+		}
+	}
+	if first {
+		t.Fatalf("a 20 %% outage withdraws the fleet's first %d of %d detectors", n, len(placements))
+	}
+	fleetInList := 0
+	for _, p := range placements {
+		if hitList.Contains(p.First()) {
+			fleetInList++
+		}
+	}
+	share, fleetShare := float64(inList)/float64(n), float64(fleetInList)/float64(len(placements))
+	t.Logf("withdrawn %d of %d; hit-list share %.3f withdrawn, %.3f of the fleet", n, len(placements), share, fleetShare)
+	if share > 2*fleetShare {
+		t.Errorf("hit-list detectors are %.3f of the withdrawn fifth but %.3f of the fleet", share, fleetShare)
 	}
 }

@@ -275,7 +275,7 @@ func (p *Plan) Misconfigure(orgs []netenv.Org) ([]netenv.Org, []string) {
 		n = len(orgs)
 	}
 	r := rng.NewXoshiro(rng.Mix64(p.cfg.Seed ^ 0x6d697363)) // "misc"
-	order := r.SampleWithoutReplacement(len(orgs), len(orgs))
+	order := r.Shuffle(len(orgs))
 	var names []string
 	for _, idx := range order[:n] {
 		o := &out[idx]
@@ -288,6 +288,14 @@ func (p *Plan) Misconfigure(orgs []netenv.Org) ([]netenv.Org, []string) {
 		names = append(names, o.Name)
 	}
 	return out, names
+}
+
+// WithdrawalOrder returns the seed-pinned random order in which an outage
+// sweep withdraws a fleet of n sensor blocks: withdrawing a fraction f
+// takes the order's first ⌈f·n⌉ entries, so a larger fraction withdraws a
+// superset of the blocks a smaller one withdraws.
+func WithdrawalOrder(seed uint64, n int) []int {
+	return rng.NewXoshiro(rng.Mix64(seed ^ 0x6f7574616765)).Shuffle(n) // "outage"
 }
 
 // report is one queued sensor report.

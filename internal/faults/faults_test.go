@@ -274,3 +274,48 @@ func TestReporterReusesQueue(t *testing.T) {
 		}
 	}
 }
+
+// TestWithdrawalOrderIsShuffled checks that the outage order is a
+// permutation whose prefixes are not the fleet's first blocks. Floyd's
+// sample of n from n comes back as 0, 1, …, n−1, which would withdraw the
+// blocks in listing order.
+func TestWithdrawalOrderIsShuffled(t *testing.T) {
+	for _, n := range []int{12, 100, 4481} {
+		for _, seed := range []uint64{1, 2, 3} {
+			order := WithdrawalOrder(seed, n)
+			seen := make([]bool, n)
+			for _, v := range order {
+				if v < 0 || v >= n || seen[v] {
+					t.Fatalf("n=%d seed=%d: not a permutation: %v", n, seed, order)
+				}
+				seen[v] = true
+			}
+			k := n / 5
+			sorted := true
+			for i, v := range order[:k] {
+				sorted = sorted && v == i
+			}
+			if sorted {
+				t.Errorf("n=%d seed=%d: the first fifth withdraws blocks 0..%d in order", n, seed, k-1)
+			}
+		}
+	}
+}
+
+// TestMisconfigureIsShuffled checks that a misconfiguration fraction
+// corrupts a random subset of the orgs, not the first ones listed.
+func TestMisconfigureIsShuffled(t *testing.T) {
+	orgs := netenv.SynthesizeOrgs(netenv.DefaultOrgModel(1))
+	p := MustCompile(Config{Seed: 11, Misconfig: &MisconfigConfig{Fraction: 0.2, Mode: MisconfigGap}}, 10)
+	_, names := p.Misconfigure(orgs)
+	if len(names) == 0 {
+		t.Fatal("nothing corrupted")
+	}
+	first := true
+	for i, name := range names {
+		first = first && name == orgs[i].Name
+	}
+	if first {
+		t.Fatalf("a 20 %% misconfiguration corrupts the first %d of %d orgs in order", len(names), len(orgs))
+	}
+}

@@ -98,8 +98,8 @@ func (x *Xoshiro) Poisson(lambda float64) uint64 {
 	return uint64(v)
 }
 
-// Shuffle permutes the first n integers [0, n) in place into out (which it
-// allocates if nil) using Fisher-Yates, returning the permutation.
+// Shuffle returns a uniformly random permutation of [0, n), drawn with
+// Fisher-Yates.
 func (x *Xoshiro) Shuffle(n int) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -113,7 +113,9 @@ func (x *Xoshiro) Shuffle(n int) []int {
 }
 
 // SampleWithoutReplacement draws k distinct integers uniformly from [0, n)
-// using Floyd's algorithm; the result is in no particular order.
+// using Floyd's algorithm. The set is uniform but its order is not: with
+// k == n it is always 0, 1, …, n−1. Callers that need a random order, or
+// take a prefix of the result, use Shuffle.
 func (x *Xoshiro) SampleWithoutReplacement(n, k int) []int {
 	if k > n {
 		panic("rng: sample size exceeds population")
