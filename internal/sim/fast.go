@@ -231,10 +231,9 @@ type compData struct {
 	// for the live index as of the last rate rebuild. A rebuild touches
 	// only the pools that are new or hold one of its kills (refreshPools);
 	// every other pool's counts are still exact. stamp names the rebuild
-	// that last refreshed the pool, 0 before its first. Victim selection
-	// picks the span from cumLive and adds the span's start rank (see
-	// selectVictim), leaving one search of the chosen span's blocks per
-	// draw.
+	// that last refreshed the pool, 0 before its first. A victim draw picks
+	// the span from cumLive and adds the span's start rank (see
+	// victimRank), which gives its global live rank without a select.
 	stamp   uint64
 	liveCt  int64
 	cumLive []int64
@@ -247,12 +246,15 @@ type poolLink struct {
 }
 
 // fastEvent is one phase-1 arrival awaiting the serial merge: an infection
-// candidate (slot ≥ 0) or a sensor observation (slot -1). ci is the
-// component index within its group, kept for trace attribution.
+// candidate (victim ≥ 0) or a sensor observation (victim -1). Phase 1
+// stores a candidate's global live rank as of the tick start; the merge
+// replaces each winning rank with its slot before any infection lands
+// (claimWinners, resolveWinners). ci is the component index within its
+// group, kept for trace attribution.
 type fastEvent struct {
-	slot int32
-	ci   int32
-	dst  ipv4.Addr
+	victim int32
+	ci     int32
+	dst    ipv4.Addr
 }
 
 // fastState carries the driver's caches.
@@ -334,6 +336,10 @@ type fastState struct {
 	// the rebuild sorts it and applies it to the pools it reaches.
 	killsTick []int32
 	killSort  slotSorter
+	// claimed marks, per live rank, a victim draw that claimed it earlier
+	// in the current merge. claimWinners clears every bit it sets before
+	// it returns, so the bitset is all zero between ticks.
+	claimed []uint64
 }
 
 // RunFast runs the aggregated simulation.
@@ -343,10 +349,12 @@ type fastState struct {
 // one Poisson gate draw, then a categorical component pick and a victim or
 // sensor selection per arrival — from its own per-(group, tick) RNG
 // stream, against the tick-start live index and the frozen intensity
-// cache. Phase 2 merges the buffered events serially in group order:
-// duplicate victims resolve first-group-wins, exactly as a serial pass
-// would. Results are byte-identical for every worker count and for the
-// quiescent-tick fast path (DESIGN.md §14).
+// cache; a victim is buffered as its live rank at tick start. Phase 2
+// merges the buffered events serially in group order: repeated ranks
+// resolve first-group-wins, exactly as a serial pass would, the winners
+// resolve to slots in parallel, and the infections land serially. Results
+// are byte-identical for every worker count and for the quiescent-tick
+// fast path (DESIGN.md §14).
 func RunFast(cfg FastConfig) (*Result, error) {
 	if cfg.Topology != nil {
 		return runFastGraph(cfg, cfg.Topology)
@@ -437,24 +445,27 @@ func RunFast(cfg FastConfig) (*Result, error) {
 			bufs[wi] = st.drawShard(bufs[wi], lo, hi, step)
 		})
 
-		// Phase 2: serial merge in shard order, replaying each buffer in
-		// draw order. The live index advances as infections land, so
-		// duplicate victims within the tick resolve first-event-wins
-		// (hosts infected this tick never probe before the next tick —
-		// same feedback rule as the exact driver).
+		// Phase 2: merge in shard order, each buffer in draw order. At tick
+		// start rank ↔ slot is a bijection, so keeping the first draw of
+		// each rank (claimWinners) keeps exactly the first draw of each
+		// slot. Each shard's winners then resolve to slots on the worker
+		// that drew them, against the index no kill has touched yet, and
+		// only then do the infections land, serially (hosts infected this
+		// tick never probe before the next tick — same feedback rule as
+		// the exact driver).
+		if st.claimWinners(bufs[:nShards]) > 0 {
+			fanOut(bounds, func(wi, _, _ int) { st.resolveWinners(bufs[wi]) })
+		}
 		var newInf int
 		var sensorDraws, sensorDown uint64
 		for _, evs := range bufs[:nShards] {
 			for _, ev := range evs {
-				if ev.slot >= 0 {
-					if !st.live.test(int(ev.slot)) {
-						continue // claimed earlier this tick
-					}
-					st.infectSlot(ev.slot)
+				if ev.victim >= 0 {
+					st.infectSlot(ev.victim)
 					total++
 					newInf++
 					if rec != nil {
-						rec.AppendInfection(step, t, -1, int(ev.slot), uint32(st.pop.Host(int(ev.slot)).Addr), vecName(ev.ci))
+						rec.AppendInfection(step, t, -1, int(ev.victim), uint32(st.pop.Host(int(ev.victim)).Addr), vecName(ev.ci))
 					}
 					continue
 				}
@@ -474,6 +485,53 @@ func RunFast(cfg FastConfig) (*Result, error) {
 	})
 	st.stampKills() // the last tick's kills, which no rebuild indexed
 	return res, nil
+}
+
+// claimWinners drops, in merge order — bufs in order, each in draw order —
+// every victim draw whose rank an earlier draw of the tick already
+// claimed. It compacts each buffer in place to its winners and sensor
+// events and returns the number of winners. Before it returns it clears
+// the claimed bits again by zeroing each winner's word, so a tick costs
+// O(events), never a sweep of the whole bitset.
+func (st *fastState) claimWinners(bufs [][]fastEvent) int {
+	claimed := st.claimed
+	winners := 0
+	for wi, evs := range bufs {
+		kept := evs[:0]
+		for _, ev := range evs {
+			if k := ev.victim; k >= 0 {
+				w, bit := k>>6, uint64(1)<<(uint(k)&63)
+				if claimed[w]&bit != 0 {
+					continue // claimed earlier this tick
+				}
+				claimed[w] |= bit
+				winners++
+			}
+			kept = append(kept, ev)
+		}
+		bufs[wi] = kept
+	}
+	if winners > 0 {
+		for _, evs := range bufs {
+			for _, ev := range evs {
+				if ev.victim >= 0 {
+					claimed[ev.victim>>6] = 0
+				}
+			}
+		}
+	}
+	return winners
+}
+
+// resolveWinners replaces each winner's tick-start rank in evs with its
+// slot. It only reads the live index, which no kill has touched since the
+// tick's refresh, so shards resolve concurrently.
+func (st *fastState) resolveWinners(evs []fastEvent) {
+	for i := range evs {
+		if k := evs[i].victim; k >= 0 {
+			evs[i].victim = int32(st.live.selectRank(int(k)))
+		}
+	}
 }
 
 // infectSlot records an infection at st.killTime, creating the slot's
@@ -569,8 +627,8 @@ func (st *fastState) drawShard(buf []fastEvent, lo, hi, step int) []fastEvent {
 // exactly as rng.Poisson would; λ ≥ 30 delegates to rng.Poisson's normal
 // approximation); then per arrival one categorical draw picks the
 // component — categories in fixed order, infection then sensor per
-// component — and one selection draw resolves the victim slot or sensor
-// address.
+// component — and one selection draw picks the victim, buffered as its
+// tick-start live rank, or the sensor address.
 //
 // The gate's first uniform is read from the stream head alone
 // (rng.FirstFloat64), and a uniform at or under 1−λ settles k = 0 — the
@@ -642,35 +700,32 @@ func (st *fastState) drawGroup(r *rng.Xoshiro, gi int, stepMix uint64, out []fas
 		comp := &st.comps[ai]
 		if !sensor {
 			j := r.Uint64n(uint64(st.catLive[ai]))
-			out = append(out, fastEvent{slot: int32(st.selectVictim(comp.data, int64(j), st.catRank[ai])), ci: pick})
+			out = append(out, fastEvent{victim: int32(st.victimRank(comp.data, int64(j), st.catRank[ai])), ci: pick})
 		} else {
 			dst := comp.sensors.Select(r.Uint64n(comp.sensors.Size()))
-			out = append(out, fastEvent{slot: -1, ci: pick, dst: dst})
+			out = append(out, fastEvent{victim: -1, ci: pick, dst: dst})
 		}
 	}
 	return out
 }
 
-// selectVictim resolves the j-th live slot of a span-union pool: a scan of
-// the pool's cumulative live counts picks the span, the live rank at the
-// span's start turns the within-span index into a global rank, and the
-// live index resolves that rank by searching only the blocks that both lie
-// in the span and sit between the rank's two select-directory samples.
-// The caller guarantees j is below the live pool size the arrival was
-// priced with. rank0 is the rank at the first span's start, which
-// evalGroup caches per component, so single-span pools never read the
-// bitset outside the chosen blocks; later spans ask the live index. Draws
-// run after a rebuild's refresh and before any kill, so every start rank
-// is the one the counts were computed against.
-func (st *fastState) selectVictim(d *compData, j, rank0 int64) int {
+// victimRank returns the global live rank of the j-th live slot of a
+// span-union pool: a scan of the pool's cumulative live counts picks the
+// span, and the live rank at the span's start turns the within-span index
+// into a global rank. The caller guarantees j is below the live pool size
+// the arrival was priced with. rank0 is the rank at the first span's
+// start, which evalGroup caches per component, so single-span pools never
+// read the bitset; later spans ask the live index. Draws run after a
+// rebuild's refresh and before any kill, so every start rank is the one
+// the counts were computed against.
+func (st *fastState) victimRank(d *compData, j, rank0 int64) int64 {
 	for i, c := range d.cumLive {
 		if j < c {
-			sp := d.spans[i]
 			if i > 0 {
 				j -= d.cumLive[i-1]
-				rank0 = int64(st.live.rank(int(sp.Lo)))
+				rank0 = int64(st.live.rank(int(d.spans[i].Lo)))
 			}
-			return st.live.selectSpan(int(rank0+j), int(sp.Lo), int(sp.Hi))
+			return rank0 + j
 		}
 	}
 	panic("sim: victim index out of pool range")
@@ -961,7 +1016,7 @@ func closeFastTickOutcomes(probes float64, newInf int, sensorDraws, sensorDown u
 
 // newFastState builds the group runs and the live index for a validated
 // IPv4 config, with every host uninfected. Nothing here is per-host but
-// the infection times and the live bitset.
+// the infection times and the live and claimed bitsets.
 func newFastState(cfg FastConfig) *fastState {
 	n := cfg.Pop.Size()
 	st := &fastState{
@@ -971,6 +1026,7 @@ func newFastState(cfg FastConfig) *fastState {
 		compCache: make(map[compKey]*compData),
 		live:      newLiveIndex(n),
 		infTime:   make([]float64, n),
+		claimed:   make([]uint64, (n+63)/64),
 	}
 	for i := range st.infTime {
 		st.infTime[i] = -1

@@ -27,9 +27,9 @@ func naivePoolSelect(st *fastState, d *compData, j int64) int {
 }
 
 // checkPoolGeometry compares every pool's live counts with a from-scratch
-// rank over its spans, and selectVictim with a naive select
-// for sampled in-pool indexes: the first, the last, the first of each span
-// and random ones.
+// rank over its spans, and the slot that a victim draw's rank selects
+// (victimRank, then selectRank) with a naive select for sampled in-pool
+// indexes: the first, the last, the first of each span and random ones.
 func checkPoolGeometry(t *testing.T, st *fastState, r *rng.Xoshiro, round int) {
 	t.Helper()
 	for pi, d := range st.compList {
@@ -58,13 +58,13 @@ func checkPoolGeometry(t *testing.T, st *fastState, r *rng.Xoshiro, round int) {
 		}
 		rank0 := int64(st.live.rank(int(d.spans[0].Lo)))
 		for _, j := range js {
-			if got, want := st.selectVictim(d, j, rank0), naivePoolSelect(st, d, j); got != want {
-				t.Fatalf("round %d pool %d: selectVictim(%d) = %d, want %d", round, pi, j, got, want)
+			if got, want := st.live.selectRank(int(st.victimRank(d, j, rank0))), naivePoolSelect(st, d, j); got != want {
+				t.Fatalf("round %d pool %d: selectRank(victimRank(%d)) = %d, want %d", round, pi, j, got, want)
 			}
 		}
 	}
 	// Groups evaluated at this rebuild hold their components' first-span
-	// start ranks, which their draws pass to selectVictim.
+	// start ranks, which their draws pass to victimRank.
 	for _, g := range st.groupList {
 		if g.stamp != st.rateStamp {
 			continue

@@ -11,23 +11,25 @@ import "math/bits"
 //
 // The index supports the queries the fast driver's victim pools need:
 //
-//	kill(pos)                 — mark a slot infected                 O(1)
-//	refresh()                 — rebuild the prefixes and directory   O(blocks)
-//	rank(pos)                 — live slots in [0, pos)               O(1), ≤ 4 popcounts
-//	selectSpan(k, lo, hi)     — the k-th live slot, known in [lo,hi) O(log blocks per sample), ≤ 4 popcounts
+//	kill(pos)      — mark a slot infected                O(1)
+//	refresh()      — rebuild the prefixes and directory  O(blocks)
+//	rank(pos)      — live slots in [0, pos)              O(1), ≤ 4 popcounts
+//	selectRank(k)  — the slot of live rank k             O(log blocks per sample), ≤ 4 popcounts
 //
 // The directory sel samples every liveSelSample-th live rank: sel[i] is
 // the block holding rank i·liveSelSample. A select searches only the
-// blocks between two adjacent samples (further cut to its span), which is
-// one or two blocks wherever most slots are live, and finishes with a
-// broadword in-word select, so each draw does bounded work.
+// blocks between two adjacent samples, which is one or two blocks
+// wherever most slots are live, and finishes with a broadword in-word
+// select, so each select does bounded work.
 //
-// rank and selectSpan answer as of the last refresh: a kill updates the
+// rank and selectRank answer as of the last refresh: a kill updates the
 // bitset and its block's count at once, but the prefix array and the
 // directory only at the next refresh. The driver refreshes serially at
-// every rate rebuild, and the phase-1 draws that select run only after a
-// rebuild and only read, so the two-phase tick (parallel read-only draws,
-// serial merge) keeps every query consistent and race-free.
+// every rate rebuild. Phase 1 ranks its victim draws, and the merge
+// selects the slots of the tick's winners, after the rebuild and before
+// the tick's first kill; both only read, so the tick (parallel draws,
+// serial dedupe, parallel selects of the winners, serial infections)
+// keeps every query consistent and race-free.
 const (
 	liveBlockWords = 4                   // 64-bit words per block
 	liveBlockSlots = liveBlockWords * 64 // 256 slots per block
@@ -65,11 +67,6 @@ func newLiveIndex(n int) *liveIndex {
 	}
 	li.refresh()
 	return li
-}
-
-// test reports whether slot pos is live.
-func (li *liveIndex) test(pos int) bool {
-	return li.words[pos>>6]>>(uint(pos)&63)&1 == 1
 }
 
 // kill marks slot pos infected. Killing a dead slot is a no-op.
@@ -116,17 +113,16 @@ func (li *liveIndex) rank(pos int) int {
 	return s
 }
 
-// selectSpan returns the k-th (0-based) live slot of the whole index. The
-// caller guarantees that slot lies in [lo, hi), so its block lies both in
-// that span's blocks and between the directory samples around k; a
-// branch-free halving search over the intersection finds it: the last
-// block whose prefix is at most k. A popcount walk of at most four words
-// then finds the word, and a broadword in-word select the slot.
-func (li *liveIndex) selectSpan(k, lo, hi int) int {
+// selectRank returns the slot of live rank k (0-based) over the whole
+// index. Its block lies between the directory samples around k, and a
+// branch-free halving search over those blocks finds it: the last block
+// whose prefix is at most k. A popcount walk of at most four words then
+// finds the word, and a broadword in-word select the slot.
+func (li *liveIndex) selectRank(k int) int {
 	rem := int32(k)
 	i := k / liveSelSample
-	b := max(lo/liveBlockSlots, int(li.sel[i]))
-	end := min((hi-1)/liveBlockSlots, int(li.sel[i+1])) + 1
+	b := int(li.sel[i])
+	end := int(li.sel[i+1]) + 1
 	for n := end - b; n > 1; {
 		half := n >> 1
 		if li.pre[b+half] <= rem {

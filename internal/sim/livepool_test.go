@@ -19,6 +19,11 @@ func newNaiveLive(n int) naiveLive {
 
 func (l naiveLive) kill(pos int) { l[pos] = false }
 
+// test reports whether slot pos is live.
+func (li *liveIndex) test(pos int) bool {
+	return li.words[pos>>6]>>(uint(pos)&63)&1 == 1
+}
+
 func (l naiveLive) liveIn(lo, hi int) int {
 	c := 0
 	for i := lo; i < hi; i++ {
@@ -29,9 +34,10 @@ func (l naiveLive) liveIn(lo, hi int) int {
 	return c
 }
 
-// checkSpanSelect compares rank and span-bounded select on [lo, hi)
-// against the reference: the span's live count, and for every live slot
-// of the span, in order, the slot its in-span index selects.
+// checkSpanSelect compares rank and select on [lo, hi) against the
+// reference: the span's live count, and for every live slot of the span,
+// in order, the slot that the span's start rank plus its in-span index
+// selects.
 func checkSpanSelect(t *testing.T, li *liveIndex, ref naiveLive, lo, hi int) {
 	t.Helper()
 	if got, want := li.rank(hi)-li.rank(lo), ref.liveIn(lo, hi); got != want {
@@ -42,7 +48,7 @@ func checkSpanSelect(t *testing.T, li *liveIndex, ref naiveLive, lo, hi int) {
 		if !ref[pos] {
 			continue
 		}
-		if got := li.selectSpan(base+j, lo, hi); got != pos {
+		if got := li.selectRank(base + j); got != pos {
 			t.Fatalf("n=%d: select %d in [%d,%d) = %d, want %d", li.n, j, lo, hi, got, pos)
 		}
 		j++
@@ -189,22 +195,12 @@ func checkSelectDirectory(t *testing.T, li *liveIndex, slots []int) {
 	}
 }
 
-// checkRankSelect selects rank k over the whole index, over the one-slot
-// span holding it, and over spans that end or start at its slot and
-// reach three blocks the other way.
+// checkRankSelect selects rank k and checks it against the k-th live
+// slot.
 func checkRankSelect(t *testing.T, li *liveIndex, slots []int, k int) {
 	t.Helper()
-	pos := slots[k]
-	spans := [][2]int{
-		{0, li.n},
-		{pos, pos + 1},
-		{max(pos-3*liveBlockSlots, 0), pos + 1},
-		{pos, min(pos+3*liveBlockSlots, li.n)},
-	}
-	for _, sp := range spans {
-		if got := li.selectSpan(k, sp[0], sp[1]); got != pos {
-			t.Fatalf("n=%d: select rank %d in [%d,%d) = %d, want %d", li.n, k, sp[0], sp[1], got, pos)
-		}
+	if got, pos := li.selectRank(k), slots[k]; got != pos {
+		t.Fatalf("n=%d: select rank %d = %d, want %d", li.n, k, got, pos)
 	}
 }
 
@@ -316,10 +312,10 @@ func TestSelectInWord(t *testing.T) {
 	}
 }
 
-// BenchmarkLiveIndexSelect prices one victim select on a 10⁷-slot index
-// with half its slots killed: over spans of 8,192 slots, the size of one
-// populated /16's slot span at internet-10m scale, and over the whole
-// index. Run with:
+// BenchmarkLiveIndexSelect prices one select on a 10⁷-slot index with
+// half its slots killed, for ranks drawn from a random span of 8,192
+// slots, the size of one populated /16's slot span at internet-10m scale,
+// and for ranks drawn over the whole index. Run with:
 //
 //	go test -run '^$' -bench '^BenchmarkLiveIndexSelect$' ./internal/sim
 func BenchmarkLiveIndexSelect(b *testing.B) {
@@ -330,13 +326,12 @@ func BenchmarkLiveIndexSelect(b *testing.B) {
 		li.kill(int(r.Uint64n(n)))
 	}
 	li.refresh()
-	type query struct{ k, lo, hi int }
-	makeQueries := func(span int) []query {
-		qs := make([]query, 1<<16)
+	makeQueries := func(span int) []int {
+		qs := make([]int, 1<<16)
 		for i := range qs {
 			lo := int(r.Uint64n(uint64(n - span + 1)))
 			base, live := li.rank(lo), li.rank(lo+span)-li.rank(lo)
-			qs[i] = query{base + int(r.Uint64n(uint64(live))), lo, lo + span}
+			qs[i] = base + int(r.Uint64n(uint64(live)))
 		}
 		return qs
 	}
@@ -348,8 +343,7 @@ func BenchmarkLiveIndexSelect(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			sink := 0
 			for i := 0; i < b.N; i++ {
-				q := qs[i&(len(qs)-1)]
-				sink += li.selectSpan(q.k, q.lo, q.hi)
+				sink += li.selectRank(qs[i&(len(qs)-1)])
 			}
 			if sink < 0 {
 				b.Fatal("unreachable")
