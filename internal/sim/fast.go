@@ -417,6 +417,7 @@ func RunFast(cfg FastConfig) (*Result, error) {
 	// written back once per tick by drawShard.
 	bufs := make([][]fastEvent, l.workers)
 	bounds := make([]int, 0, l.workers+1)
+	resolve := func(wi, _, _ int) { st.resolveWinners(bufs[wi]) }
 	res := l.run(st.infTime, seed, func(step int, t, burstLoss float64) TickInfo {
 		// The burst channel multiplies this tick's delivery probability:
 		// expected hit counts shrink by the channel's current loss exactly
@@ -454,7 +455,7 @@ func RunFast(cfg FastConfig) (*Result, error) {
 		// tick never probe before the next tick — same feedback rule as
 		// the exact driver).
 		if st.claimWinners(bufs[:nShards]) > 0 {
-			fanOut(bounds, func(wi, _, _ int) { st.resolveWinners(bufs[wi]) })
+			fanOut(bounds, resolve)
 		}
 		var newInf int
 		var sensorDraws, sensorDown uint64

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/detect"
 	"repro/internal/ipv4"
@@ -53,5 +54,14 @@ func TestFastDupHeavyGoldenByteIdentity(t *testing.T) {
 		if got != goldenDupHeavy {
 			t.Errorf("workers=%d: hash %s, pinned %s", workers, got, goldenDupHeavy)
 		}
+	}
+}
+
+// TestFastEventIs12Bytes pins the phase-1 event size: at 10⁸ hosts the
+// arrival buffers of the tick that crosses the stop target dominate the
+// heap, so a wider event widens the peak.
+func TestFastEventIs12Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(fastEvent{}); got != 12 {
+		t.Fatalf("fastEvent is %d bytes, want 12", got)
 	}
 }

@@ -14,13 +14,13 @@ import "math/bits"
 //	kill(pos)      — mark a slot infected                O(1)
 //	refresh()      — rebuild the prefixes and directory  O(blocks)
 //	rank(pos)      — live slots in [0, pos)              O(1), ≤ 4 popcounts
-//	selectRank(k)  — the slot of live rank k             O(log blocks per sample), ≤ 4 popcounts
+//	selectRank(k)  — the slot of live rank k             O(blocks per sample), ≤ 4 popcounts
 //
 // The directory sel samples every liveSelSample-th live rank: sel[i] is
-// the block holding rank i·liveSelSample. A select searches only the
-// blocks between two adjacent samples, which is one or two blocks
-// wherever most slots are live, and finishes with a broadword in-word
-// select, so each select does bounded work.
+// the block holding rank i·liveSelSample. A select scans only the blocks
+// between two adjacent samples, which is one or two blocks wherever most
+// slots are live, and finishes with a broadword in-word select, so each
+// select does bounded work.
 //
 // rank and selectRank answer as of the last refresh: a kill updates the
 // bitset and its block's count at once, but the prefix array and the
@@ -42,9 +42,8 @@ type liveIndex struct {
 	words  []uint64 // bit set ⇒ slot live
 	count  []int32  // per block: live slots
 	pre    []int32  // per block b: live slots in blocks [0, b), as of refresh
-	// sel[i] is the block holding live rank i·liveSelSample, as of refresh;
-	// its ⌊live/liveSelSample⌋+2 entries end with the last block, so
-	// sel[k/liveSelSample+1] bounds every rank k's block from above.
+	// sel[i] is the block holding live rank i·liveSelSample, as of refresh:
+	// ⌈live/liveSelSample⌉ entries, one for every sampled rank.
 	sel []int32
 }
 
@@ -61,7 +60,7 @@ func newLiveIndex(n int) *liveIndex {
 	li.blocks = (nw + liveBlockWords - 1) / liveBlockWords
 	li.count = make([]int32, li.blocks)
 	li.pre = make([]int32, li.blocks+1)
-	li.sel = make([]int32, 0, n/liveSelSample+2)
+	li.sel = make([]int32, 0, (n+liveSelSample-1)/liveSelSample)
 	for b := range li.count {
 		li.count[b] = int32(min(liveBlockSlots, n-b*liveBlockSlots))
 	}
@@ -92,10 +91,6 @@ func (li *liveIndex) refresh() {
 		}
 	}
 	li.pre[li.blocks] = s
-	last := int32(max(li.blocks-1, 0))
-	for len(sel) < int(s/liveSelSample)+2 {
-		sel = append(sel, last)
-	}
 	li.sel = sel
 }
 
@@ -114,21 +109,20 @@ func (li *liveIndex) rank(pos int) int {
 }
 
 // selectRank returns the slot of live rank k (0-based) over the whole
-// index. Its block lies between the directory samples around k, and a
-// branch-free halving search over those blocks finds it: the last block
-// whose prefix is at most k. A popcount walk of at most four words then
-// finds the word, and a broadword in-word select the slot.
+// index. Its block is the last one whose prefix is at most k, which lies
+// between the directory samples around k: a forward scan of the prefixes
+// from the lower sample's block finds it. pre[blocks] is the live total,
+// above every rank, so the scan stops inside the index. A popcount walk
+// of at most four words then finds the word, and a broadword in-word
+// select the slot. The scan's loads do not depend on each other, where a
+// halving search's each depend on the last, so it is the faster of the
+// two wherever the samples are a few blocks apart, which is everywhere
+// but in long dead runs.
 func (li *liveIndex) selectRank(k int) int {
 	rem := int32(k)
-	i := k / liveSelSample
-	b := int(li.sel[i])
-	end := int(li.sel[i+1]) + 1
-	for n := end - b; n > 1; {
-		half := n >> 1
-		if li.pre[b+half] <= rem {
-			b += half
-		}
-		n -= half
+	b := int(li.sel[k/liveSelSample])
+	for li.pre[b+1] <= rem {
+		b++
 	}
 	rem -= li.pre[b]
 	w := b * liveBlockWords

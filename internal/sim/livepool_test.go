@@ -176,20 +176,16 @@ func liveSlots(ref naiveLive) []int {
 }
 
 // checkSelectDirectory holds the select directory to its definition:
-// ⌊live/liveSelSample⌋+2 entries, entry i the block holding live rank
-// i·liveSelSample while that rank exists, and the last block after.
+// ⌈live/liveSelSample⌉ entries, entry i the block holding live rank
+// i·liveSelSample.
 func checkSelectDirectory(t *testing.T, li *liveIndex, slots []int) {
 	t.Helper()
 	live := len(slots)
-	if got, want := len(li.sel), live/liveSelSample+2; got != want {
+	if got, want := len(li.sel), (live+liveSelSample-1)/liveSelSample; got != want {
 		t.Fatalf("n=%d live=%d: %d directory entries, want %d", li.n, live, got, want)
 	}
 	for i, b := range li.sel {
-		want := li.blocks - 1
-		if k := i * liveSelSample; k < live {
-			want = slots[k] / liveBlockSlots
-		}
-		if int(b) != want {
+		if want := slots[i*liveSelSample] / liveBlockSlots; int(b) != want {
 			t.Fatalf("n=%d live=%d: sel[%d] = %d, want block %d", li.n, live, i, b, want)
 		}
 	}
@@ -265,8 +261,7 @@ func TestLiveIndexSelectDirectory(t *testing.T) {
 	}
 	checkSpanSelect(t, li, ref, 0, n)
 
-	// Every slot dead: the directory is two entries of the last block and
-	// no rank is selectable.
+	// Every slot dead: the directory is empty and no rank is selectable.
 	for pos := 0; pos < n; pos++ {
 		kill(pos)
 	}
