@@ -19,8 +19,8 @@ import "math/bits"
 // The directory sel samples every liveSelSample-th live rank: sel[i] is
 // the block holding rank i·liveSelSample. A select scans only the blocks
 // between two adjacent samples, which is one or two blocks wherever most
-// slots are live, and finishes with a broadword in-word select, so each
-// select does bounded work.
+// slots are live, and finishes with a broadword in-word select, so a
+// select's work grows only with the dead blocks between two samples.
 //
 // rank and selectRank answer as of the last refresh: a kill updates the
 // bitset and its block's count at once, but the prefix array and the
