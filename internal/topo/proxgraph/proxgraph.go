@@ -13,11 +13,15 @@
 // counting-sort CSR layouts instead of maps, and no map is ever
 // iterated, so the package holds the detrace/maporder determinism
 // contract. For cache locality the build walks nodes in grid-cell
-// order, not id order; each node keeps its Degree nearest candidates
-// in a bounded top-k buffer under the total (distance², id) order, and
-// its preference row is insertion-sorted to ascending id. Which node is
-// visited first therefore never changes a row, and the adjacency CSR,
-// assembled in id order from those rows, is ascending per node.
+// order, not id order, over a copy of the coordinates laid out cell by
+// cell. Each node searches its own cell and then rings of cells
+// outward, skipping every cell that cannot hold a candidate ranking
+// ahead of its current Degree-th, and keeps its Degree nearest
+// candidates in a bounded top-k buffer under the total (distance², id)
+// order; its preference row is insertion-sorted to ascending id. Which
+// node or cell is visited first therefore never changes a row. One pass
+// in id order then prunes each row in place to its mutual entries and
+// packs it into the adjacency CSR, which is ascending per node.
 package proxgraph
 
 import (
@@ -49,7 +53,6 @@ type Config struct {
 type World struct {
 	cfg      Config
 	radius   float64
-	xs, ys   []float64
 	nbrOff   []int32 // CSR offsets, len Nodes+1
 	nbrs     []int32 // CSR adjacency, ascending within each node
 	sensor   []bool
@@ -67,15 +70,14 @@ func DefaultRadius(nodes, degree int) float64 {
 	return r
 }
 
-// New builds the world for cfg. Construction visits nodes in grid-cell
-// order, so neighboring nodes scan the same cached cells, and passes
-// each node's c nearby nodes once through a bounded top-Degree buffer:
-// O(nodes·c) distance tests plus at most Degree shifts per candidate
-// that displaces the current k-th, and O(nodes·min(Degree, Nodes-1))
-// memory. c is sized by Radius, not by Nodes (about 250 at the default
-// radius). A 10⁶-node, Degree-8 world builds in about 3 s on a 2-vCPU
-// x86-64 host. Configs whose Nodes·min(Degree, Nodes-1) would overflow
-// the int32 ids and offsets are rejected before any allocation.
+// New builds the world for cfg, as the package doc describes. At the
+// default radius a node scans about 46 candidates in 4–5 cells, where
+// the full 5×5-cell neighborhood holds about 250. Memory is
+// O(nodes·min(Degree, Nodes-1)), and the work per node is sized by
+// Radius and Degree, not by Nodes. A 10⁶-node, Degree-8 world builds in
+// about 2 s on a 2-vCPU x86-64 host. Configs whose
+// Nodes·min(Degree, Nodes-1) would overflow the int32 ids and offsets
+// are rejected before any allocation.
 func New(cfg Config) (*World, error) {
 	if cfg.Nodes < 2 {
 		return nil, fmt.Errorf("proxgraph: Nodes %d, need at least 2", cfg.Nodes)
@@ -95,28 +97,34 @@ func New(cfg Config) (*World, error) {
 		return nil, fmt.Errorf("proxgraph: Nodes %d × min(Degree, Nodes-1) %d exceeds the int32 id/offset ceiling %d",
 			cfg.Nodes, k, math.MaxInt32)
 	}
+	xs, ys := place(cfg)
+	return build(cfg, xs, ys), nil
+}
+
+// build links the world for a validated cfg over the node positions
+// (xs[i], ys[i]) in the unit square and marks its sensors.
+func build(cfg Config, xs, ys []float64) *World {
 	w := &World{cfg: cfg, radius: cfg.Radius}
 	//lint:ignore float-eq a zero Radius is the documented use-the-default value, never a computed one
 	if w.radius == 0 {
 		w.radius = DefaultRadius(cfg.Nodes, cfg.Degree)
 	}
-	w.place()
-	w.link()
+	w.link(xs, ys)
 	w.markSensors()
-	return w, nil
+	return w
 }
 
 // place scatters the nodes over the unit square from one seeded stream,
 // two draws per node in id order.
-func (w *World) place() {
-	n := w.cfg.Nodes
-	w.xs = make([]float64, n)
-	w.ys = make([]float64, n)
-	r := rng.NewXoshiroStream(w.cfg.Seed, proxStream, 0)
-	for i := 0; i < n; i++ {
-		w.xs[i] = r.Float64()
-		w.ys[i] = r.Float64()
+func place(cfg Config) (xs, ys []float64) {
+	xs = make([]float64, cfg.Nodes)
+	ys = make([]float64, cfg.Nodes)
+	r := rng.NewXoshiroStream(cfg.Seed, proxStream, 0)
+	for i := range xs {
+		xs[i] = r.Float64()
+		ys[i] = r.Float64()
 	}
+	return xs, ys
 }
 
 // cand is one candidate neighbor during preference ranking.
@@ -131,66 +139,98 @@ func (a cand) before(b cand) bool {
 	return a.d2 < b.d2 || (a.d2 == b.d2 && a.id < b.id)
 }
 
-// link builds the mutual-kNN adjacency. Stage 1 buckets nodes into a
-// radius-sized grid with a counting-sort CSR (stable, so each cell's
-// nodes stay in ascending id order). Stage 2 walks the grid cell by
-// cell, row by row, so consecutive nodes share most of their candidate
-// cells in cache, and ranks each node's in-radius candidates by
-// (distance², id) — ids are unique, so the order is total — in a
-// bounded top-k buffer that keeps only the Degree nearest. The kept ids
-// become the node's preference row, a fixed-stride slot re-sorted to
-// ascending id. Stage 3 keeps an edge iff it appears in both endpoints'
-// preference rows; rows are ascending, so the final CSR is too.
-func (w *World) link() {
-	n := w.cfg.Nodes
-	gw := int(1/w.radius) + 1
-	if gw > 4096 {
-		gw = 4096
-	}
-	cell := func(i int) int {
-		cx := int(w.xs[i] * float64(gw))
-		cy := int(w.ys[i] * float64(gw))
-		if cx >= gw {
-			cx = gw - 1
-		}
-		if cy >= gw {
-			cy = gw - 1
-		}
-		return cy*gw + cx
-	}
+// point is a node's position in the unit square.
+type point struct{ x, y float64 }
+
+// grid buckets the nodes into gw×gw radius-sized cells with a
+// counting-sort CSR: cell c holds positions off[c]..off[c+1], and each
+// position carries its node's id and a copy of its coordinates, so a
+// cell's candidates are contiguous in memory. The sort is stable, so
+// each cell's nodes stay in ascending id order.
+type grid struct {
+	gw  int
+	off []int32
+	ids []int32
+	pts []point
+}
+
+// newGrid lays the nodes at (xs[i], ys[i]) out in cell order.
+func newGrid(xs, ys []float64, gw int) *grid {
+	col := func(v float64) int { return min(int(v*float64(gw)), gw-1) }
+	cell := func(i int) int { return col(ys[i])*gw + col(xs[i]) }
 	nc := gw * gw
-	cellOff := make([]int32, nc+1)
-	for i := 0; i < n; i++ {
-		cellOff[cell(i)+1]++
+	g := &grid{gw: gw, off: make([]int32, nc+1), ids: make([]int32, len(xs)), pts: make([]point, len(xs))}
+	for i := range xs {
+		g.off[cell(i)+1]++
 	}
 	for c := 0; c < nc; c++ {
-		cellOff[c+1] += cellOff[c]
+		g.off[c+1] += g.off[c]
 	}
-	cellNodes := make([]int32, n)
 	fill := make([]int32, nc)
-	for i := 0; i < n; i++ {
+	for i := range xs {
 		c := cell(i)
-		cellNodes[cellOff[c]+fill[c]] = int32(i)
+		p := g.off[c] + fill[c]
+		g.ids[p] = int32(i)
+		g.pts[p] = point{xs[i], ys[i]}
 		fill[c]++
 	}
+	return g
+}
+
+// gapSlack shaves every cell-rectangle gap in nearest's lower bound. A
+// node lands in a cell by truncating v·gw, and the bound measures from
+// the rounded edge b/gw, so a node can sit a few ulps of 1 (≤ 4·2⁻⁵³)
+// outside the rectangle it is filed under. Shaved by far more than that,
+// a gap never exceeds the computed |Δx| of any node in the cell, and
+// since IEEE rounding is monotone, the bound never exceeds that node's
+// computed d². The slack is 4·10⁻⁹ of the smallest cell (1/4096), so it
+// costs no pruning.
+const gapSlack = 1e-12
+
+// link builds the mutual-kNN adjacency from the node positions. Stage 1
+// lays the nodes out in a radius-sized grid (newGrid). Stage 2 walks the
+// grid cell by cell, row by row, so consecutive nodes share most of
+// their candidate cells in cache, and ranks each node's in-radius
+// candidates by (distance², id) — ids are unique, so the order is total
+// — in a bounded top-k buffer that keeps only the Degree nearest. The
+// kept ids become the node's preference row, a fixed-stride slot sorted
+// to ascending id. Stage 3 keeps an edge iff it appears in both
+// endpoints' preference rows. It walks the rows in id order and
+// compacts each one in place to its mutual entries, shifted left to its
+// CSR offset, so the preference array becomes the adjacency. A row
+// already visited holds i iff its pair with i is mutual, and that is all
+// a later check asks of it, so checking a compacted row is exact. Rows
+// are ascending, so the final CSR is too.
+func (w *World) link(xs, ys []float64) {
+	n := w.cfg.Nodes
+	// Both the grid width and the ring count are clamped in float64, so
+	// extreme radii cannot overflow the int conversions.
+	gw := int(min(1/w.radius, 4095)) + 1
+	g := newGrid(xs, ys, gw)
 
 	// New has checked that n·k fits in int32.
 	k := prefStride(w.cfg)
 	pref := make([]int32, n*k)
-	prefLen := make([]int32, n)
+	// nbrOff[i+1] holds row i's preference length until stage 3 prunes
+	// row i and sets it to the row's CSR end.
+	nbrOff := make([]int32, n+1)
 	r2 := w.radius * w.radius
 	// A candidate can be at most radius away, i.e. at most
 	// ceil(radius·gw) grid cells away on either axis; +1 absorbs the
-	// floor truncation, over-covering by at most one cell ring.
-	span := int(w.radius*float64(gw)) + 1
+	// floor truncation, over-covering by at most one cell ring. No ring
+	// past gw-1 holds a cell.
+	span := int(min(w.radius*float64(gw), float64(gw))) + 1
 	top := make([]cand, 0, k)
+	gx := make([]float64, 2*span+1)
+	gy := make([]float64, 2*span+1)
 	for cy := 0; cy < gw; cy++ {
 		for cx := 0; cx < gw; cx++ {
 			c := cy*gw + cx
-			for _, i := range cellNodes[cellOff[c]:cellOff[c+1]] {
-				top = w.nearest(top[:0], i, cx, cy, gw, span, r2, cellOff, cellNodes)
+			for p := g.off[c]; p < g.off[c+1]; p++ {
+				top = g.nearest(top[:0], p, cx, cy, r2, gx, gy)
 				// Insertion-sort the kept ids into the row, ascending.
-				row := pref[int(i)*k : int(i)*k+len(top)]
+				i := int(g.ids[p])
+				row := pref[i*k : i*k+len(top)]
 				for a, t := range top {
 					b := a
 					for ; b > 0 && row[b-1] > t.id; b-- {
@@ -198,80 +238,122 @@ func (w *World) link() {
 					}
 					row[b] = t.id
 				}
-				prefLen[i] = int32(len(top))
+				nbrOff[i+1] = int32(len(top))
 			}
 		}
 	}
 
-	rowOf := func(i int) []int32 { return pref[i*k : i*k+int(prefLen[i])] }
-	w.nbrOff = make([]int32, n+1)
+	// Every write lands at or before the entry just read, and rows past
+	// i are untouched until their turn.
+	at := int32(0)
 	for i := 0; i < n; i++ {
-		deg := int32(0)
-		for _, j := range rowOf(i) {
-			if prefHas(rowOf(int(j)), int32(i)) {
-				deg++
+		for _, j := range pref[i*k : i*k+int(nbrOff[i+1])] {
+			var other []int32
+			if int(j) < i {
+				other = pref[nbrOff[j]:nbrOff[j+1]]
+			} else {
+				other = pref[int(j)*k : int(j)*k+int(nbrOff[j+1])]
 			}
-		}
-		w.nbrOff[i+1] = w.nbrOff[i] + deg
-	}
-	w.nbrs = make([]int32, w.nbrOff[n])
-	for i := 0; i < n; i++ {
-		at := w.nbrOff[i]
-		for _, j := range rowOf(i) {
-			if prefHas(rowOf(int(j)), int32(i)) {
-				w.nbrs[at] = j
+			if prefHas(other, int32(i)) {
+				pref[at] = j
 				at++
 			}
 		}
+		nbrOff[i+1] = at
 	}
+	w.nbrOff = nbrOff
+	w.nbrs = pref[:at:at]
 }
 
-// nearest fills top, which must be empty with capacity k, with node i's
-// best k in-radius candidates ascending by (distance², id). Node i sits
-// in grid cell (cx, cy). A candidate that ranks after the current k-th
-// is rejected before it is placed.
-func (w *World) nearest(top []cand, i int32, cx, cy, gw, span int, r2 float64, cellOff, cellNodes []int32) []cand {
+// nearest fills top, which must be empty with capacity k, with the best
+// k in-radius candidates ascending by (distance², id) of the node at
+// grid position p, which sits in cell (cx, cy). It scans that cell,
+// then the rings of cells around it out to len(gx)/2 cells away. A cell
+// is skipped when the d² lower bound of its rectangle, less gapSlack on
+// each axis, is strictly above the current bound: r² while the buffer
+// has room, then the k-th candidate's d². Every node in a skipped cell
+// would rank after the current k-th, and the bound only tightens. gx
+// and gy are scratch for the per-column and per-row gaps. A candidate
+// that ranks after the current k-th is rejected before it is placed.
+func (g *grid) nearest(top []cand, p int32, cx, cy int, r2 float64, gx, gy []float64) []cand {
 	k := cap(top)
-	xs, ys := w.xs, w.ys
-	for dy := -span; dy <= span; dy++ {
-		y := cy + dy
-		if y < 0 || y >= gw {
-			continue
-		}
-		for dx := -span; dx <= span; dx++ {
-			x := cx + dx
-			if x < 0 || x >= gw {
+	span := len(gx) / 2
+	pts, gw := g.pts, g.gw
+	pi := pts[p]
+	for d := -span; d <= span; d++ {
+		gx[d+span] = cellGap(pi.x, cx, cx+d, gw)
+		gy[d+span] = cellGap(pi.y, cy, cy+d, gw)
+	}
+	for ring := 0; ring <= span; ring++ {
+		for dy := -ring; dy <= ring; dy++ {
+			y := cy + dy
+			if y < 0 || y >= gw {
 				continue
 			}
-			c := y*gw + x
-			for _, j := range cellNodes[cellOff[c]:cellOff[c+1]] {
-				if j == i {
+			// Inner rows of a ring hold only its two end cells.
+			step := 1
+			if ring > 0 && dy != -ring && dy != ring {
+				step = 2 * ring
+			}
+			for dx := -ring; dx <= ring; dx += step {
+				x := cx + dx
+				if x < 0 || x >= gw {
 					continue
 				}
-				ddx := xs[j] - xs[i]
-				ddy := ys[j] - ys[i]
-				d2 := ddx*ddx + ddy*ddy
-				if d2 > r2 {
+				bound := r2
+				if len(top) == k {
+					bound = top[k-1].d2
+				}
+				ex, ey := gx[dx+span], gy[dy+span]
+				if ex*ex+ey*ey > bound {
 					continue
 				}
-				nc := cand{d2: d2, id: j}
-				p := len(top)
-				if p == k {
-					if !nc.before(top[k-1]) {
+				c := y*gw + x
+				for q := g.off[c]; q < g.off[c+1]; q++ {
+					if q == p {
 						continue
 					}
-					p-- // the old k-th drops out
-				} else {
-					top = top[:p+1]
+					ddx := pts[q].x - pi.x
+					ddy := pts[q].y - pi.y
+					d2 := ddx*ddx + ddy*ddy
+					if d2 > r2 {
+						continue
+					}
+					nc := cand{d2: d2, id: g.ids[q]}
+					at := len(top)
+					if at == k {
+						if !nc.before(top[k-1]) {
+							continue
+						}
+						at-- // the old k-th drops out
+					} else {
+						top = top[:at+1]
+					}
+					for ; at > 0 && nc.before(top[at-1]); at-- {
+						top[at] = top[at-1]
+					}
+					top[at] = nc
 				}
-				for ; p > 0 && nc.before(top[p-1]); p-- {
-					top[p] = top[p-1]
-				}
-				top[p] = nc
 			}
 		}
 	}
 	return top
+}
+
+// cellGap is the distance, less gapSlack and floored at zero, from
+// coordinate v in grid column (or row) from to the nearest edge of
+// column to, on a gw-wide grid.
+func cellGap(v float64, from, to, gw int) float64 {
+	var d float64
+	switch {
+	case to > from:
+		d = float64(to)/float64(gw) - v
+	case to < from:
+		d = v - float64(to+1)/float64(gw)
+	default:
+		return 0
+	}
+	return max(d-gapSlack, 0)
 }
 
 // prefStride is the preference-row stride: Degree, capped at the most
@@ -335,6 +417,3 @@ func (w *World) Radius() float64 { return w.radius }
 
 // Edges returns the undirected edge count.
 func (w *World) Edges() int { return len(w.nbrs) / 2 }
-
-// Pos returns node's position in the unit square.
-func (w *World) Pos(node int) (x, y float64) { return w.xs[node], w.ys[node] }

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/topo"
 )
 
@@ -157,10 +158,21 @@ func TestConfigRejection(t *testing.T) {
 	}
 }
 
+// positions replays the placement stream New draws from: two draws per
+// node in id order on the world seed's stream 0.
+func positions(cfg Config) (xs, ys []float64) {
+	xs, ys = make([]float64, cfg.Nodes), make([]float64, cfg.Nodes)
+	r := rng.NewXoshiroStream(cfg.Seed, proxStream, 0)
+	for i := range xs {
+		xs[i], ys[i] = r.Float64(), r.Float64()
+	}
+	return xs, ys
+}
+
 func TestPositionsInUnitSquare(t *testing.T) {
-	w := mustWorld(t, Config{Nodes: 256, Degree: 4, Seed: 55})
-	for i := 0; i < w.Nodes(); i++ {
-		x, y := w.Pos(i)
+	xs, ys := positions(Config{Nodes: 256, Degree: 4, Seed: 55})
+	for i := range xs {
+		x, y := xs[i], ys[i]
 		if x < 0 || x >= 1 || y < 0 || y >= 1 {
 			t.Fatalf("node %d at (%v, %v) outside unit square", i, x, y)
 		}
@@ -169,8 +181,9 @@ func TestPositionsInUnitSquare(t *testing.T) {
 
 // worldHash is the SHA-256 of every observable of a world, node by node
 // in id order: degree, adjacency, sensor flag, and the bits of the
-// position.
+// position replayed from the world's placement stream.
 func worldHash(w *World) string {
+	xs, ys := positions(w.cfg)
 	h := sha256.New()
 	var buf [8]byte
 	put := func(v uint64) {
@@ -187,9 +200,8 @@ func worldHash(w *World) string {
 		} else {
 			put(0)
 		}
-		x, y := w.Pos(i)
-		put(math.Float64bits(x))
-		put(math.Float64bits(y))
+		put(math.Float64bits(xs[i]))
+		put(math.Float64bits(ys[i]))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -223,5 +235,31 @@ func TestWorldGoldenBytes(t *testing.T) {
 		if w.Edges() != tc.edges || got != tc.want {
 			t.Errorf("%s: edges %d hash %s, want edges %d hash %s", tc.name, w.Edges(), got, tc.edges, tc.want)
 		}
+	}
+}
+
+// BenchmarkGraph1MWorld builds the graph-1m benchmark's world — 10⁶
+// nodes, Degree 8, 10⁴ sensors, seed 1 — and fails unless its edge count
+// and worldHash match the values captured before the pruned ring search,
+// the cell-ordered coordinates and the one-pass mutual prune. It pins
+// the full-size world that TestWorldGoldenBytes's small configs stand in
+// for. One build takes seconds, so it runs as a benchmark (-benchtime
+// 1x), not a test.
+func BenchmarkGraph1MWorld(b *testing.B) {
+	const (
+		edges = 3_388_675
+		want  = "6d9b1c67805a5b0feb2ea8daaddbc30f5747541851a5964633b000a9dd5c5a75"
+	)
+	cfg := Config{Nodes: 1_000_000, Degree: 8, Sensors: 10_000, Seed: 1}
+	for i := 0; i < b.N; i++ {
+		w, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if got := worldHash(w); w.Edges() != edges || got != want {
+			b.Fatalf("edges %d hash %s, want edges %d hash %s", w.Edges(), got, edges, want)
+		}
+		b.StartTimer()
 	}
 }

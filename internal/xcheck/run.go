@@ -214,7 +214,9 @@ func RunScenario(ctx context.Context, sc Scenario) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := runExactCtx(ctx, &sc, a, sc.Workers)
+	// Nothing reads a served run's trace or sensor fleet, so it runs
+	// neither.
+	out, err := runExactCtx(ctx, &sc, a, sc.Workers, false)
 	if err != nil {
 		return nil, err
 	}
@@ -230,17 +232,19 @@ func RunScenario(ctx context.Context, sc Scenario) (*sim.Result, error) {
 // the byte-identity oracle compares trace bytes alongside run outputs,
 // and the tree oracles audit the recorded infection provenance.
 func runExact(sc *Scenario, a *artifacts, workers int) (*runOutput, error) {
-	return runExactCtx(context.Background(), sc, a, workers)
+	return runExactCtx(context.Background(), sc, a, workers, true)
 }
 
 // runExactCtx is runExact with cooperative cancellation: the run's OnTick
 // hook watches ctx and stops the tick loop once it is done. Observing ctx
 // never perturbs the run — OnTick draws no randomness — so a run that is
 // not cancelled is byte-identical to one executed without a context.
-func runExactCtx(ctx context.Context, sc *Scenario, a *artifacts, workers int) (*runOutput, error) {
-	rec := trace.NewRecorder(0)
-	clk := &obs.SimClock{}
-	out := &runOutput{trace: rec}
+// With observe set, the run carries the flight recorder on a simulated
+// clock and, with sensors, a detector fleet fed every delivered probe;
+// the oracles audit both. Without it the run has neither, and its Result
+// is the same: observers never perturb a run.
+func runExactCtx(ctx context.Context, sc *Scenario, a *artifacts, workers int, observe bool) (*runOutput, error) {
+	out := &runOutput{}
 	cfg := sim.ExactConfig{
 		Topology:         a.graph, // nil for IPv4 scenarios: the reference world
 		ScanRate:         sc.ScanRate,
@@ -250,8 +254,7 @@ func runExactCtx(ctx context.Context, sc *Scenario, a *artifacts, workers int) (
 		Seed:             sc.SimSeed,
 		Workers:          workers,
 		StopWhenInfected: sc.StopWhenInfect,
-		Trace:            rec,
-		Clock:            clk,
+		SensorSet:        a.sensorSet,
 	}
 	if a.graph == nil {
 		cfg.Pop = a.pop
@@ -260,14 +263,17 @@ func runExactCtx(ctx context.Context, sc *Scenario, a *artifacts, workers int) (
 		cfg.Faults = a.plan
 	}
 	cfg.OnTick = func(sim.TickInfo) bool { return ctx.Err() == nil }
-	if a.sensorSet != nil {
+	if observe {
+		out.trace = trace.NewRecorder(0)
+		cfg.Trace, cfg.Clock = out.trace, &obs.SimClock{}
+	}
+	if observe && a.sensorSet != nil {
 		fleet, err := detect.NewThresholdFleet(a.sensors, sc.SensorThreshold)
 		if err != nil {
 			return nil, fmt.Errorf("xcheck: fleet: %w", err)
 		}
-		fleet.Trace(rec, clk)
+		fleet.Trace(out.trace, cfg.Clock)
 		out.fleet = fleet
-		cfg.SensorSet = a.sensorSet
 		cfg.OnProbe = func(_, dst ipv4.Addr) { fleet.RecordHit(dst) }
 	}
 	res, err := sim.RunExact(cfg)

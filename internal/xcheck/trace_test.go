@@ -1,6 +1,7 @@
 package xcheck
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"strings"
@@ -8,6 +9,37 @@ import (
 
 	"repro/internal/trace"
 )
+
+// TestRunScenarioMatchesTracedRun requires the served run, which has no
+// flight recorder and no sensor fleet, to equal the observed oracle run
+// on every observable of its Result, over the first 64 generated
+// scenarios: attaching the recorder, its simulated clock and the fleet
+// never perturbs a run.
+func TestRunScenarioMatchesTracedRun(t *testing.T) {
+	for id := uint64(1); id <= 64; id++ {
+		sc := Generate(id)
+		got, err := RunScenario(context.Background(), sc)
+		if err != nil {
+			t.Fatalf("scenario %d: %v", id, err)
+		}
+		a, err := build(&sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := runExact(&sc, a, sc.Workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.trace == nil {
+			t.Fatalf("scenario %d: oracle run recorded no trace", id)
+		}
+		// RunScenario returns the Result alone: no fleet, no trace.
+		ref.fleet, ref.trace = nil, nil
+		if a, b := serializeRun(&runOutput{res: got}), serializeRun(ref); a != b {
+			t.Fatalf("scenario %d: served run differs from the traced run:\n%s\nwant\n%s", id, a, b)
+		}
+	}
+}
 
 // TestTreeOraclesCatchCorruption checks both provenance oracle families
 // against a real traced run, then corrupts the run in effigy — the moral
