@@ -8,7 +8,10 @@ package hotspots
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -439,6 +442,72 @@ func BenchmarkRunFastProxGraph(b *testing.B) {
 			b.Fatalf("outbreak stalled at %d/%d infected", res.Final.Infected, stop)
 		}
 	}
+}
+
+// BenchmarkRunFastGraph1M runs the graph-1m benchmark workload's outbreak
+// — the 10⁶-node, Degree-8, 10⁴-sensor world of seed 1, 2 probes/s, 25
+// seed hosts, one worker, to 500,000 infections — at sim seeds 1 and 2,
+// and fails unless each run's resultDigest matches the value captured
+// before the graph driver's single-pass tick. It pins byte identity at
+// the scale the golden tests' 1500-node worlds stand in for. The world
+// takes seconds to build, so it runs as a benchmark (-benchtime 1x).
+func BenchmarkRunFastGraph1M(b *testing.B) {
+	if testing.Short() {
+		b.Skip("10⁶-node graph workload skipped under -short")
+	}
+	world, err := proxgraph.New(proxgraph.Config{Nodes: 1_000_000, Degree: 8, Sensors: 10_000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := map[uint64]string{
+		1: "dca9408d381e2bfafd6282d8a63a5fe68347330487c764c47c14cc7d68f1d0d0",
+		2: "7b3750d8333948658044863595c1cfa641a7ef1be46d6e7e40f5f54af39df629",
+	}
+	const stop = 500_000
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, seed := range []uint64{1, 2} {
+			res, err := sim.RunFast(sim.FastConfig{
+				Topology: world, ScanRate: 2, TickSeconds: 1, MaxSeconds: 600, SeedHosts: 25,
+				Seed: seed, Workers: 1, StopWhenInfected: stop,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if got := resultDigest(res); res.Final.Infected < stop || got != want[seed] {
+				b.Fatalf("seed %d: %d infected, digest %s; want ≥ %d infected, digest %s",
+					seed, res.Final.Infected, got, stop, want[seed])
+			}
+			b.StartTimer()
+		}
+	}
+}
+
+// resultDigest is the SHA-256 of a run's Series, Final, InfectionTime and
+// cumulative Outcomes, with every float taken bit for bit.
+func resultDigest(res *sim.Result) string {
+	var buf []byte
+	tick := func(ti sim.TickInfo) {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ti.Time))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(ti.Infected))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(ti.NewInfections))
+		buf = binary.LittleEndian.AppendUint64(buf, ti.Probes)
+		for _, c := range ti.Outcomes {
+			buf = binary.LittleEndian.AppendUint64(buf, c)
+		}
+	}
+	for _, ti := range res.Series {
+		tick(ti)
+	}
+	tick(res.Final)
+	for _, it := range res.InfectionTime {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(it))
+	}
+	for _, c := range res.Outcomes {
+		buf = binary.LittleEndian.AppendUint64(buf, c)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(buf))
 }
 
 func benchRunExactCodeRedII(b *testing.B, reg *obs.Registry, workers int) {

@@ -44,11 +44,12 @@ type FastConfig struct {
 	// per-(group, tick) RNG stream and merge in group-creation order
 	// (DESIGN.md §14).
 	Workers int
-	// DisableTickSkip forces every tick through the two-phase draw path,
-	// bypassing the serial quiescent-tick fast path. Output is
-	// byte-identical either way — the fast path consumes exactly the same
-	// per-group RNG draws — so the switch exists for tests and
-	// cross-checks, not for correctness.
+	// DisableTickSkip forces every tick of the IPv4 driver through the
+	// two-phase draw path, bypassing the serial quiescent-tick fast path.
+	// Output is byte-identical either way — the fast path consumes
+	// exactly the same per-group RNG draws — so the switch exists for
+	// tests and cross-checks, not for correctness. The graph driver has
+	// no quiescent-tick path and ignores it.
 	DisableTickSkip bool
 	// LossRate is the environmental probe-loss probability.
 	LossRate float64

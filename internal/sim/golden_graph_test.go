@@ -94,8 +94,9 @@ func checkGraphGolden(t *testing.T, res *Result, err error, rec *trace.Recorder,
 
 // TestGraphGoldenByteIdentity holds both graph drivers to pinned output
 // hashes: the exact driver on 1 and 4 workers, the fast driver on 1 and
-// 4 workers with tick skipping on and off. Every variant of a driver
-// must reproduce the same hash. Run with -v to see the hashes.
+// 4 workers with DisableTickSkip off and on (the graph driver has no
+// quiescent-tick path, so both take the same one). Every variant of a
+// driver must reproduce the same hash. Run with -v to see the hashes.
 func TestGraphGoldenByteIdentity(t *testing.T) {
 	for _, wc := range goldenGraphWorlds {
 		g := goldenGraphWorld(t, wc.cfg)
@@ -117,5 +118,48 @@ func TestGraphGoldenByteIdentity(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// goldenGraphPoisson pins the fast graph driver's rng.Poisson branch.
+// The worlds above all run at ScanRate 2, where no agent's thinned rate
+// reaches 30 and every draw takes the Knuth squeeze. At ScanRate 400 on
+// the sensor-heavy world, fresh agents draw at λ up to 400, and nodes
+// whose last susceptible neighbor is gone keep drawing sensor hits at
+// λ = 400·sensors/degree, which is at least 30 for any sensor share
+// above 7.5 %.
+const goldenGraphPoisson = "4ee10542258d4ea7aa99f0da1842e0661f0e0d86054c21aac19d01d96c6c187a"
+
+// TestGraphGoldenPoissonBranch runs the fast graph driver on the
+// sensor-heavy world at ScanRate 400 with a trace attached, on 1 and 4
+// workers, and holds both to one pinned hash. The run ends quiet, so
+// every infected node has no susceptible neighbor left; the test checks
+// that some of them draw sensor hits at λ ≥ 30.
+func TestGraphGoldenPoissonBranch(t *testing.T) {
+	wc := goldenGraphWorlds[2]
+	g := goldenGraphWorld(t, wc.cfg)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			rec := trace.NewRecorder(0)
+			res, err := RunFast(FastConfig{Topology: g, ScanRate: 400, TickSeconds: 1,
+				MaxSeconds: goldenGraphMaxSeconds, SeedHosts: wc.seedHosts, Seed: 4242,
+				Workers: workers, Trace: rec})
+			checkGraphGolden(t, res, err, rec, goldenGraphPoisson)
+			heavy := 0
+			for id, it := range res.InfectionTime {
+				sens := 0
+				for _, v := range g.Neighbors(id) {
+					if g.IsSensor(int(v)) {
+						sens++
+					}
+				}
+				if it >= 0 && 400*float64(sens)/float64(g.Degree(id)) >= 30 {
+					heavy++
+				}
+			}
+			if heavy == 0 {
+				t.Error("no infected node draws sensor hits at λ ≥ 30")
+			}
+		})
 	}
 }

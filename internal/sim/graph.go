@@ -38,6 +38,10 @@ type graphWorker struct {
 	outcomes    OutcomeCounts
 	events      []graphEvent
 	sensorDraws uint64
+	// kept is the number of agents the fast driver's shard compacted to
+	// the front of its range; moved the agents that turned sensor-only.
+	kept  int
+	moved []sensorAgent
 }
 
 func (w *graphWorker) reset() {
@@ -45,6 +49,8 @@ func (w *graphWorker) reset() {
 	w.outcomes = OutcomeCounts{}
 	w.events = w.events[:0]
 	w.sensorDraws = 0
+	w.kept = 0
+	w.moved = w.moved[:0]
 }
 
 // graphSeeds samples the initially infected nodes: SeedHosts drawn
@@ -171,21 +177,28 @@ func runExactGraph(cfg ExactConfig, g topo.Graph) (*Result, error) {
 // IPv4 driver's live-pool thinning. Each agent draws from its own
 // per-(node, tick) stream with the same gate discipline as the IPv4
 // fast driver (Knuth squeeze below λ=30, rng.Poisson above), so worker
-// count, tick skipping, and trace attachment never change output.
-// Unlike IPv4 fast aggregation, the draws here know their infector, so
-// trace edges carry true provenance.
+// count and trace attachment never change output. Unlike IPv4 fast
+// aggregation, the draws here know their infector, so trace edges carry
+// true provenance.
 //
-// The agent list holds only nodes that can still draw. A node's thinned
-// rate is proportional to liveNbrs+sensNbrs; liveNbrs never rises (it
-// falls as neighbors are infected) and sensNbrs is fixed, so once the
-// sum reaches zero the node is burnt out for the rest of the run. Each
-// tick's serial pass compacts such nodes out of the list in place, in
-// infection order, while it sums the kept rates. Retiring them is
-// byte-identical to visiting them: a zero-rate node consumes no RNG,
-// its rate term was an exact +0.0 in the same-order float sum, and the
-// merge order of the remaining agents is unchanged. Burnt-out nodes
-// still emit their perHost probes into the tick's probe total, which
-// counts every infected node of degree > 0 (probing), not the list.
+// Only nodes that can still draw are visited. liveNbrs never rises (it
+// falls as neighbors are infected) and sensNbrs is fixed, so a node
+// whose tick-start liveNbrs is zero stays at zero for the rest of the
+// run. Each tick is one pass: every phase-1 shard draws its range of
+// the infection-order agent list and compacts it in place, and a serial
+// join closes the gaps in shard order, keeping infection order. An agent
+// that reaches liveNbrs = 0 leaves the list: with no sensor neighbor it
+// is burnt out; with one, it moves to the dense sensorOnly list at its
+// now fixed rate perHost·sensNbrs/degree and is drawn there from the
+// same (node, tick) stream head, with the same gate and count draws.
+// Both are byte-identical to visiting the node in the list: a zero-rate
+// node consumes no RNG, and a sensor-only node's arrivals can only be
+// sensor hits, which it never needs its private stream's category draws
+// to tell and which add to an integer count whatever order they come
+// in. Neither emits events, so the merge order of the remaining agents
+// is unchanged. Every infected node of degree > 0 still emits its
+// perHost probes into the tick's probe total, which counts them in
+// probing, not in the lists.
 func runFastGraph(cfg FastConfig, g topo.Graph) (*Result, error) {
 	if err := cfg.validateGraph(g); err != nil {
 		return nil, err
@@ -193,7 +206,14 @@ func runFastGraph(cfg FastConfig, g topo.Graph) (*Result, error) {
 	n := g.Nodes()
 	l := cfg.params().loop("fast", "fast "+g.Name())
 
-	infected := make([]bool, n)
+	// taken holds the nodes a probe can never infect: sensors, and nodes
+	// already infected.
+	taken := newBitset(n)
+	for i := 0; i < n; i++ {
+		if g.IsSensor(i) {
+			taken.set(int32(i))
+		}
+	}
 	infTime := make([]float64, n)
 	for i := range infTime {
 		infTime[i] = -1
@@ -205,27 +225,31 @@ func runFastGraph(cfg FastConfig, g topo.Graph) (*Result, error) {
 	sensNbrs := make([]int32, n)
 	for i := 0; i < n; i++ {
 		for _, v := range g.Neighbors(i) {
-			if g.IsSensor(int(v)) {
+			if taken.has(v) {
 				sensNbrs[i]++
 			} else {
 				liveNbrs[i]++
 			}
 		}
 	}
-	// agents lists the infected nodes that may still draw, in infection
-	// order; probing counts every infected node of degree > 0, burnt-out
-	// or not, since each still emits its probes.
+	// agents lists, in infection order, the infected nodes that had a
+	// susceptible neighbor at the last tick start (or were infected
+	// since); sensorOnly the ones left with only sensor neighbors.
+	// probing counts every infected node of degree > 0, since each still
+	// emits its probes.
 	var agents []int32
+	var sensorOnly []sensorAgent
 	total, probing := 0, 0
 	infect := func(id int32, t float64) {
-		infected[id] = true
+		taken.set(id)
 		infTime[id] = t
 		total++
-		if g.Degree(int(id)) > 0 {
+		nbrs := g.Neighbors(int(id))
+		if len(nbrs) > 0 {
 			probing++
 			agents = append(agents, id)
 		}
-		for _, u := range g.Neighbors(int(id)) {
+		for _, u := range nbrs {
 			liveNbrs[u]--
 		}
 	}
@@ -243,7 +267,7 @@ func runFastGraph(cfg FastConfig, g topo.Graph) (*Result, error) {
 	// sorted adjacency, never a map.
 	liveNeighbor := func(id int32, j uint64) int32 {
 		for _, v := range g.Neighbors(int(id)) {
-			if infected[v] || g.IsSensor(int(v)) {
+			if taken.has(v) {
 				continue
 			}
 			if j == 0 {
@@ -253,49 +277,25 @@ func runFastGraph(cfg FastConfig, g topo.Graph) (*Result, error) {
 		}
 		panic("sim: live neighbor index out of snapshot range")
 	}
-	// drawAgent consumes agent id's (node, tick) stream: one gate
-	// sequence for the arrival count, then per arrival one categorical
-	// draw (infection category first, then sensor) and, for infections,
-	// one selection draw over the live neighbors. The stream head is
+	// Each draw consumes the node's (node, tick) stream, whose head is
 	// folded from the run's seedMix, the node id and stepMix =
 	// rng.Mix64(step) — SeedStream's fold with its per-run and per-tick
-	// parts hoisted — and a first uniform at or under 1−λ settles k = 0
-	// before the full state is expanded, as in the IPv4 driver's gate.
+	// parts hoisted.
 	seedMix := rng.Mix64(cfg.Seed)
+	streamHead := func(id int32, stepMix uint64) uint64 {
+		return rng.StreamHash(rng.StreamHash(seedMix, rng.Mix64(uint64(id))), stepMix)
+	}
+	// drawAgent draws agent id, which has a susceptible neighbor: the
+	// arrival count, then per arrival one categorical draw (infection
+	// category first, then sensor) and, for infections, one selection
+	// draw over the live neighbors.
 	drawAgent := func(w *graphWorker, id int32, stepMix uint64) {
 		deg := g.Degree(int(id))
-		if deg == 0 {
-			return
-		}
 		lamInf := perHost * float64(liveNbrs[id]) / float64(deg)
 		lamSens := perHost * float64(sensNbrs[id]) / float64(deg)
 		lam := lamInf + lamSens
-		if lam <= 0 {
-			return
-		}
-		h := rng.StreamHash(rng.StreamHash(seedMix, rng.Mix64(uint64(id))), stepMix)
-		if lam < 30 && rng.FirstFloat64(h) <= 1-lam {
-			return
-		}
 		r := &w.r
-		r.SeedHash(h)
-		var k uint64
-		if lam < 30 {
-			// Knuth inversion with the 1−λ ≤ e^{−λ} squeeze, exactly as
-			// the IPv4 driver's gate: draw consumption is identical to
-			// rng.Poisson for the same stream.
-			prod := r.Float64()
-			if prod > 1-lam {
-				p0 := math.Exp(-lam)
-				for prod > p0 {
-					k++
-					prod *= r.Float64()
-				}
-			}
-		} else {
-			k = r.Poisson(lam)
-		}
-		for ; k > 0; k-- {
+		for k := poissonArrivals(r, streamHead(id, stepMix), lam); k > 0; k-- {
 			u := r.Float64() * lam
 			if lamInf > 0 && u <= lamInf {
 				j := r.Uint64n(uint64(liveNbrs[id]))
@@ -307,50 +307,56 @@ func runFastGraph(cfg FastConfig, g topo.Graph) (*Result, error) {
 	}
 
 	ws := make([]graphWorker, l.workers)
-	bounds := make([]int, 0, l.workers+1)
+	cuts := make([]int, 0, l.workers+1)
+	sensorCuts := make([]int, 0, l.workers+1)
 	res := l.run(infTime, seed, func(step int, t, _ float64) TickInfo {
 		stepMix := rng.Mix64(uint64(step))
 
-		// Serial pass over the tick-start agent list: retire burnt-out
-		// agents in place and sum the kept rates for the skip gate.
-		// Agents are visited in infection order, so the float sum's
-		// order is fixed.
-		kept := agents[:0]
-		lamTotal := 0.0
-		for _, id := range agents {
-			rate := liveNbrs[id] + sensNbrs[id]
-			if rate == 0 {
-				continue
-			}
-			kept = append(kept, id)
-			lamTotal += perHost * float64(rate) / float64(g.Degree(int(id)))
-		}
-		agents = kept
-		probesTotal := perHost * float64(probing)
-
-		// Phase 1 against the tick-start snapshot. A quiescent tick draws
-		// serially: same draws, no worker dispatch.
-		nShards := shardCount(l.workers, len(agents))
-		if !cfg.DisableTickSkip && lamTotal <= fastSkipLambda {
-			nShards = 1
-		}
-		bounds = evenCuts(bounds, len(agents), nShards)
-		fanOut(bounds, func(wi, lo, hi int) {
+		// Phase 1 against the tick-start snapshot. Each shard draws its
+		// range of both lists, compacts the agents that keep a
+		// susceptible neighbor to the front of its agent range, and
+		// collects the ones that turned sensor-only. Their rate term
+		// lamInf is an exact +0.0, so lam is lamSens bit for bit.
+		nShards := shardCount(l.workers, len(agents)+len(sensorOnly))
+		cuts = evenCuts(cuts, len(agents), nShards)
+		sensorCuts = evenCuts(sensorCuts, len(sensorOnly), nShards)
+		fanOut(cuts, func(wi, lo, hi int) {
 			w := &ws[wi]
 			w.reset()
+			kept := agents[lo:lo:hi]
 			for _, id := range agents[lo:hi] {
-				drawAgent(w, id, stepMix)
+				switch {
+				case liveNbrs[id] > 0:
+					drawAgent(w, id, stepMix)
+					kept = append(kept, id)
+				case sensNbrs[id] > 0:
+					a := sensorAgent{id: id, lam: perHost * float64(sensNbrs[id]) / float64(g.Degree(int(id)))}
+					w.moved = append(w.moved, a)
+					w.sensorDraws += poissonArrivals(&w.r, streamHead(id, stepMix), a.lam)
+				}
+			}
+			w.kept = len(kept)
+			for _, a := range sensorOnly[sensorCuts[wi]:sensorCuts[wi+1]] {
+				w.sensorDraws += poissonArrivals(&w.r, streamHead(a.id, stepMix), a.lam)
 			}
 		})
+		// Join the kept ranges in shard order, which keeps infection order.
+		kept := ws[0].kept
+		for wi := 1; wi < nShards; wi++ {
+			kept += copy(agents[kept:], agents[cuts[wi]:cuts[wi]+ws[wi].kept])
+		}
+		agents = agents[:kept]
+		probesTotal := perHost * float64(probing)
 
 		// Phase 2: serial merge in worker order = agent order; duplicate
 		// victims resolve first-event-wins.
 		var newInf int
 		var sensorDraws uint64
 		for _, w := range ws[:nShards] {
+			sensorOnly = append(sensorOnly, w.moved...)
 			sensorDraws += w.sensorDraws
 			for _, ev := range w.events {
-				if infected[ev.victim] {
+				if taken.has(ev.victim) {
 					continue // claimed earlier this tick
 				}
 				infect(ev.victim, t)
@@ -364,3 +370,46 @@ func runFastGraph(cfg FastConfig, g topo.Graph) (*Result, error) {
 	})
 	return res, nil
 }
+
+// sensorAgent is a fast-driver agent with no susceptible neighbor left
+// and at least one sensor neighbor. Its rate lam is fixed for the rest
+// of the run, and every arrival it draws is a sensor hit.
+type sensorAgent struct {
+	id  int32
+	lam float64
+}
+
+// poissonArrivals is the arrival count at rate lam of the stream with
+// head h, drawn as the IPv4 fast driver's gate does: a first uniform at
+// or under 1−λ settles k = 0 before the full state is expanded into r;
+// otherwise Knuth inversion with the 1−λ ≤ e^{−λ} squeeze below λ = 30,
+// whose draw consumption is identical to rng.Poisson for the same
+// stream, and rng.Poisson above. r is left after the count's draws.
+func poissonArrivals(r *rng.Xoshiro, h uint64, lam float64) uint64 {
+	if lam < 30 && rng.FirstFloat64(h) <= 1-lam {
+		return 0
+	}
+	r.SeedHash(h)
+	if lam >= 30 {
+		return r.Poisson(lam)
+	}
+	var k uint64
+	prod := r.Float64()
+	if prod > 1-lam {
+		p0 := math.Exp(-lam)
+		for prod > p0 {
+			k++
+			prod *= r.Float64()
+		}
+	}
+	return k
+}
+
+// bitset is a set of node ids, one bit per node.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) has(i int32) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+
+func (b bitset) set(i int32) { b[i>>6] |= 1 << (i & 63) }

@@ -77,9 +77,6 @@ func checkAgainstBrute(t *testing.T, name string, cfg Config, xs, ys []float64) 
 	}
 }
 
-// gridWidth is link's grid width for a radius.
-func gridWidth(radius float64) int { return int(min(1/radius, 4095)) + 1 }
-
 // TestPrunedSearchNearCellEdges places nodes where the pruned ring
 // search can go wrong: one ulp inside a cell whose rounded left edge
 // lies above them, with a tie in the node's own cell. Node 0 sits at
@@ -88,12 +85,11 @@ func gridWidth(radius float64) int { return int(min(1/radius, 4095)) + 1 }
 // and node 2 is δ further left, tying node 0 on d² with a higher id.
 // Node 1's nearest is node 0, and the unshaved gap to column 5 is one
 // ulp above δ, so a bound without slack skips the column. δ = 2⁻⁴⁰
-// also defeats a slack relative to d²: the ulp is 10⁻⁴ of δ.
+// also defeats a slack relative to d²: the ulp is 10⁻⁴ of δ. Thirty
+// filler nodes along y = 0.02, out of the three's reach, keep the
+// ⌈√Nodes⌉ cap from narrowing the grid.
 func TestPrunedSearchNearCellEdges(t *testing.T) {
 	const radius = 0.19
-	if gw := gridWidth(radius); gw != 6 {
-		t.Fatalf("radius %v gives a %d-wide grid, want 6", radius, gw)
-	}
 	edge := 5.0 / 6
 	inside := math.Nextafter(edge, 0)
 	if int(inside*6) != 5 {
@@ -102,6 +98,13 @@ func TestPrunedSearchNearCellEdges(t *testing.T) {
 	for _, delta := range []float64{0x1p-10, 0x1p-40} {
 		xs := []float64{inside, inside - delta, inside - 2*delta}
 		ys := []float64{0.5, 0.5, 0.5}
+		for j := 0; j < 30; j++ {
+			xs = append(xs, (float64(j)+0.5)/30)
+			ys = append(ys, 0.02)
+		}
+		if gw := gridWidth(radius, len(xs)); gw != 6 {
+			t.Fatalf("radius %v over %d nodes gives a %d-wide grid, want 6", radius, len(xs), gw)
+		}
 		for degree := 1; degree <= 2; degree++ {
 			checkAgainstBrute(t, fmt.Sprintf("delta %g", delta), Config{Degree: degree, Radius: radius}, xs, ys)
 		}
@@ -113,7 +116,8 @@ func TestPrunedSearchNearCellEdges(t *testing.T) {
 // ties are broken by id, and the ids run in a scrambled order.
 func TestLatticeOnCellEdges(t *testing.T) {
 	for _, radius := range []float64{0.3, 0.19, 0.1, 1.5} {
-		gw := gridWidth(radius)
+		// The lattice's (2·gw)² nodes keep the ⌈√Nodes⌉ cap from binding.
+		gw := gridWidth(radius, math.MaxInt32)
 		var xs, ys []float64
 		for a := 0; a < 2*gw; a++ {
 			for b := 0; b < 2*gw; b++ {
@@ -154,9 +158,9 @@ func TestDuplicatePoints(t *testing.T) {
 	}
 }
 
-// TestExtremeRadii covers the gw = 4096 grid cap (with clusters tight
-// enough to link), a single cell, radii far past the unit square, and a
-// Degree above every node's candidate count.
+// TestExtremeRadii covers radii whose cells the ⌈√Nodes⌉ grid cap widens
+// (with clusters tight enough to link), a single cell, radii far past
+// the unit square, and a Degree above every node's candidate count.
 func TestExtremeRadii(t *testing.T) {
 	r := rng.NewXoshiroStream(13, 0, 0)
 	var xs, ys []float64
@@ -174,6 +178,30 @@ func TestExtremeRadii(t *testing.T) {
 	}
 }
 
+// TestGridWidthCaps checks which of gridWidth's three bounds binds: the
+// radius, ⌈√nodes⌉, or 4096 cells a side. The last binds only from
+// 4095² + 1 nodes up, too many to build in a test, so this checks the
+// width alone; TestExtremeRadii builds worlds under the √nodes cap.
+func TestGridWidthCaps(t *testing.T) {
+	for _, tc := range []struct {
+		radius float64
+		nodes  int
+		want   int
+	}{
+		{0.19, 1000, 6}, // radius-sized cells
+		{DefaultRadius(1_000_000, 8), 1_000_000, 314}, // graph-1m
+		{2.4e-4, 800, 29},            // ⌈√800⌉
+		{2.4e-4, 100_000, 317},       // ⌈√100000⌉
+		{1e-30, 4095 * 4095, 4095},   // √ cap, exactly
+		{1e-30, 4095*4095 + 1, 4096}, // 4096 cap
+		{1e300, 100, 1},
+	} {
+		if got := gridWidth(tc.radius, tc.nodes); got != tc.want {
+			t.Errorf("gridWidth(%v, %d) = %d, want %d", tc.radius, tc.nodes, got, tc.want)
+		}
+	}
+}
+
 // TestRandomWorldsMatchBruteForce draws a few hundred small worlds that
 // mix uniform points, cell-edge lattice points, their ulp neighbors and
 // duplicates, over default and explicit radii.
@@ -187,7 +215,7 @@ func TestRandomWorldsMatchBruteForce(t *testing.T) {
 		if radius == 0 {
 			radius = DefaultRadius(n, cfg.Degree)
 		}
-		gw := float64(gridWidth(radius))
+		gw := float64(gridWidth(radius, n))
 		coord := func() float64 {
 			switch r.Intn(4) {
 			case 0:

@@ -142,7 +142,7 @@ func (a cand) before(b cand) bool {
 // point is a node's position in the unit square.
 type point struct{ x, y float64 }
 
-// grid buckets the nodes into gw×gw radius-sized cells with a
+// grid buckets the nodes into gw×gw cells (gridWidth) with a
 // counting-sort CSR: cell c holds positions off[c]..off[c+1], and each
 // position carries its node's id and a copy of its coordinates, so a
 // cell's candidates are contiguous in memory. The sort is stable, so
@@ -187,13 +187,23 @@ func newGrid(xs, ys []float64, gw int) *grid {
 // costs no pruning.
 const gapSlack = 1e-12
 
+// gridWidth is link's grid width: radius-sized cells, but never more
+// than 4096 cells a side nor more cells than ⌈√nodes⌉² (about one node
+// per cell), so a tiny radius cannot make every build allocate and walk
+// 16.8 M cells whatever its node count. Cells only index candidates, so
+// the width never changes a world. The radius is clamped in float64, so
+// extreme radii cannot overflow the int conversion.
+func gridWidth(radius float64, nodes int) int {
+	return min(int(min(1/radius, 4095))+1, int(math.Ceil(math.Sqrt(float64(nodes)))))
+}
+
 // link builds the mutual-kNN adjacency from the node positions. Stage 1
-// lays the nodes out in a radius-sized grid (newGrid). Stage 2 walks the
-// grid cell by cell, row by row, so consecutive nodes share most of
-// their candidate cells in cache, and ranks each node's in-radius
-// candidates by (distance², id) — ids are unique, so the order is total
-// — in a bounded top-k buffer that keeps only the Degree nearest. The
-// kept ids become the node's preference row, a fixed-stride slot sorted
+// lays the nodes out in a grid of cells at least radius wide (gridWidth,
+// newGrid). Stage 2 walks the grid cell by cell, row by row, so
+// consecutive nodes share most of their candidate cells in cache, and
+// ranks each node's in-radius candidates by (distance², id) — ids are
+// unique, so the order is total — in a bounded top-k buffer that keeps
+// only the Degree nearest. The kept ids become the node's preference row, a fixed-stride slot sorted
 // to ascending id. Stage 3 keeps an edge iff it appears in both
 // endpoints' preference rows. It walks the rows in id order and
 // compacts each one in place to its mutual entries, shifted left to its
@@ -203,9 +213,7 @@ const gapSlack = 1e-12
 // are ascending, so the final CSR is too.
 func (w *World) link(xs, ys []float64) {
 	n := w.cfg.Nodes
-	// Both the grid width and the ring count are clamped in float64, so
-	// extreme radii cannot overflow the int conversions.
-	gw := int(min(1/w.radius, 4095)) + 1
+	gw := gridWidth(w.radius, n)
 	g := newGrid(xs, ys, gw)
 
 	// New has checked that n·k fits in int32.
@@ -218,7 +226,8 @@ func (w *World) link(xs, ys []float64) {
 	// A candidate can be at most radius away, i.e. at most
 	// ceil(radius·gw) grid cells away on either axis; +1 absorbs the
 	// floor truncation, over-covering by at most one cell ring. No ring
-	// past gw-1 holds a cell.
+	// past gw-1 holds a cell. The ring count is clamped in float64, so
+	// extreme radii cannot overflow the int conversion.
 	span := int(min(w.radius*float64(gw), float64(gw))) + 1
 	top := make([]cand, 0, k)
 	gx := make([]float64, 2*span+1)

@@ -209,8 +209,9 @@ func worldHash(w *World) string {
 // TestWorldGoldenBytes pins the exact worlds New builds. The hashes were
 // captured before the cell-order rewrite of link, so any change to
 // placement, candidate ranking, mutual pruning or sensor choice fails
-// here. The configs cover the default radius, the gw = 4096 grid cap
-// (mostly isolated nodes), a single-cell grid (Radius ≥ √2, every node a
+// here. The configs cover the default radius, a radius whose cells the
+// ⌈√Nodes⌉ grid cap widens (317 cells a side, not 4096; mostly isolated
+// nodes), a single-cell grid (Radius ≥ √2, every node a
 // candidate), Degree above the candidate count, and the two-node floor.
 //
 // If a future change alters worlds ON PURPOSE, re-pin by running with
