@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cycle"
 	"repro/internal/detect"
 	"repro/internal/experiments"
 	"repro/internal/faults"
@@ -36,7 +37,7 @@ import (
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(id, uint64(i)+1, experiments.Quick)
+		res, err := experiments.RunObserved(id, uint64(i)+1, experiments.Quick, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +92,7 @@ func BenchmarkExtFaults(b *testing.B)      { benchExperiment(b, "ext-faults") }
 func BenchmarkAblationSlammerIntendedB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		corrupted := worm.SlammerMap(i % 3)
-		proper := SlammerIntendedMap()
+		proper := cycle.MustNewMap(worm.SlammerMultiplier, rng.MSVCRTIncrement, 32)
 		if corrupted.TotalCycles() <= proper.TotalCycles() {
 			b.Fatal("ablation inverted")
 		}

@@ -41,7 +41,6 @@ func run(args []string) error {
 		tick     = fs.Uint("tick", 140000, "Blaster GetTickCount() seed (ms)")
 		seed     = fs.Uint64("seed", 1, "PRNG seed (codered2/slammer/uniform)")
 		jsonOut  = fs.String("json", "", "write the observation snapshot as JSON to this file ('-' for stdout)")
-		binOut   = fs.String("snapshot", "", "write the observation snapshot in binary form to this file")
 	)
 	obsFlags := obsflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -127,19 +126,6 @@ func run(args []string) error {
 
 	if *jsonOut != "" {
 		if err := writeJSONSnapshot(fleet.Snapshot(), *jsonOut); err != nil {
-			return err
-		}
-	}
-	if *binOut != "" {
-		f, err := os.Create(*binOut)
-		if err != nil {
-			return err
-		}
-		if err := fleet.Snapshot().WriteBinary(f); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 	}

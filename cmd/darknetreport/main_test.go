@@ -22,37 +22,31 @@ func TestRunWorms(t *testing.T) {
 }
 
 func TestRunWritesSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	jsonPath := dir + "/snap.json"
-	binPath := dir + "/snap.bin"
+	jsonPath := t.TempDir() + "/snap.json"
 	if err := run([]string{
-		"-worm", "uniform", "-probes", "50000",
-		"-json", jsonPath, "-snapshot", binPath,
+		"-worm", "uniform", "-probes", "50000", "-json", jsonPath,
 	}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(binPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	snap, err := sensor.ReadSnapshot(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := snap.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(jsonPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fromJSON sensor.Snapshot
-	if err := json.Unmarshal(data, &fromJSON); err != nil {
+	var snap sensor.Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if len(fromJSON.Blocks) != len(snap.Blocks) {
-		t.Error("JSON and binary snapshots disagree")
+	slash24s := make(map[string]int)
+	for _, b := range sensor.DefaultIMSBlocks() {
+		slash24s[b.Label] = b.Prefix.Slash24s()
+	}
+	if len(snap.Blocks) != len(slash24s) {
+		t.Fatalf("snapshot holds %d blocks, want %d", len(snap.Blocks), len(slash24s))
+	}
+	for _, b := range snap.Blocks {
+		if len(b.Attempts) != slash24s[b.Label] {
+			t.Errorf("block %s holds %d /24s, want %d", b.Label, len(b.Attempts), slash24s[b.Label])
+		}
 	}
 }
 

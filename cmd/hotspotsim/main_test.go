@@ -110,6 +110,19 @@ func TestRunWithFaultsFile(t *testing.T) {
 	}
 }
 
+// TestRunRejectsMisconfigFaults pins that -faults fails on a plan with a
+// misconfig section, which no driver models, instead of running fault-free.
+func TestRunRejectsMisconfigFaults(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "faults.json")
+	if err := os.WriteFile(path, []byte(`{"misconfig":{"fraction":0.5,"mode":"gap"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run(context.Background(), []string{"-worm", "uniform", "-pop", "3000", "-t", "60", "-faults", path})
+	if err == nil || !strings.Contains(err.Error(), `unknown field "misconfig"`) {
+		t.Fatalf("run(-faults misconfig) = %v, want an unknown-field error", err)
+	}
+}
+
 // TestCheckpointedRerunIsByteIdentical is the CLI resume contract: a rerun
 // with identical parameters against the same checkpoint file replays the
 // cached summary byte for byte instead of re-simulating.

@@ -3,18 +3,17 @@
 // and Jahanian, "Hotspots: The Root Causes of Non-Uniformity in
 // Self-Propagating Malware" (DSN 2006).
 //
-// The package is a facade over the implementation packages:
+// The package is a small facade over the implementation packages, holding
+// what the quick start below and the programs in examples/ call:
 //
-//   - propagation models of the studied worms (Blaster, Slammer,
-//     CodeRedII) and baselines (uniform, permutation, hit-list scanning);
+//   - synthesized vulnerable populations and greedy /16 hit lists;
 //   - the exact cycle analysis of Slammer's flawed LCG;
-//   - a darknet sensor substrate (the 11 IMS blocks), detection fleets,
-//     and placement strategies;
-//   - an SI epidemic simulation engine with probe-exact and aggregated
-//     drivers;
-//   - non-uniformity metrics (chi-square, KL divergence, Gini,
-//     orders-of-magnitude spread) and hotspot location;
-//   - every table and figure of the paper as a runnable experiment.
+//   - the darknet sensor substrate (the 11 IMS blocks), threshold
+//     detector fleets, and their placement strategies;
+//   - the aggregated SI epidemic driver with its scanner rate models;
+//   - metrics registries that meter a run without perturbing it.
+//
+// The paper's tables and figures run through cmd/experiments.
 //
 // # Quick start
 //
@@ -30,17 +29,11 @@
 package hotspots
 
 import (
-	"repro/internal/core"
 	"repro/internal/cycle"
 	"repro/internal/detect"
-	"repro/internal/epidemic"
-	"repro/internal/experiments"
 	"repro/internal/ipv4"
-	"repro/internal/netenv"
 	"repro/internal/obs"
-	"repro/internal/payload"
 	"repro/internal/population"
-	"repro/internal/rng"
 	"repro/internal/sensor"
 	"repro/internal/sim"
 	"repro/internal/worm"
@@ -59,58 +52,11 @@ type (
 // ParseAddr parses a dotted-quad address.
 func ParseAddr(s string) (Addr, error) { return ipv4.ParseAddr(s) }
 
-// ParsePrefix parses CIDR notation.
-func ParsePrefix(s string) (Prefix, error) { return ipv4.ParsePrefix(s) }
+// WormFactory builds per-host probe generators.
+type WormFactory = worm.Factory
 
-// Propagation models.
-type (
-	// TargetGenerator yields an infected host's probe sequence.
-	TargetGenerator = worm.TargetGenerator
-	// WormFactory builds per-host generators.
-	WormFactory = worm.Factory
-)
-
-// Worm factories for the studied threats and baselines.
-var (
-	// Uniform is the no-hotspots baseline scanner.
-	Uniform WormFactory = worm.UniformFactory{}
-	// Permutation is Staniford-style permutation scanning.
-	Permutation WormFactory = worm.PermutationFactory{}
-	// CodeRedII scans with CRII's 1/8 / 1/2 / 3/8 mask preference.
-	CodeRedII WormFactory = worm.CodeRedIIFactory{}
-)
-
-// Slammer returns the flawed-LCG scanner factory for a sqlsort.dll variant
-// (0, 1 or 2).
-func Slammer(variant int) WormFactory { return worm.SlammerFactory{Variant: variant} }
-
-// Witty returns the Witty worm's paired-output scanner factory (~10% of
-// addresses unreachable from any seed).
-func Witty() WormFactory { return worm.WittyFactory{} }
-
-// Blaster returns the tick-count-seeded sequential scanner factory.
-func Blaster(ticks worm.TickModel) WormFactory { return worm.BlasterFactory{Ticks: ticks} }
-
-// HitListWorm returns a factory scanning uniformly inside set.
-func HitListWorm(set *AddrSet) WormFactory { return worm.HitListFactory{ListSet: set} }
-
-// Preference is a generic octet-mask local-preference profile.
-type Preference = worm.Preference
-
-// LocalPreferenceWorm returns a factory for a generic local-preference
-// scanner (CRII and Nimda profiles via worm.CodeRedIIPreference and
-// worm.NimdaPreference).
-func LocalPreferenceWorm(prefs Preference) WormFactory {
-	return worm.LocalPreferenceFactory{Prefs: prefs}
-}
-
-// SequentialWorm returns a factory for a sequential scanner from a random
-// start (the well-seeded Blaster ablation).
-func SequentialWorm() WormFactory { return worm.SequentialFactory{} }
-
-// DefaultBlasterTicks returns the boot-time tick model of the Figure 1
-// study.
-func DefaultBlasterTicks() worm.TickModel { return worm.DefaultRebootTickModel() }
+// CodeRedII scans with CRII's 1/8 / 1/2 / 3/8 mask preference.
+var CodeRedII WormFactory = worm.CodeRedIIFactory{}
 
 // BuildHitList greedily selects up to k /16s covering the most vulnerable
 // hosts and returns them as an address set.
@@ -119,14 +65,9 @@ func BuildHitList(vulnerable []Addr, k int) (*AddrSet, float64) {
 	return ipv4.SetOfPrefixes(prefixes...), cover
 }
 
-// Cycle analysis.
-type (
-	// CycleMap is an affine map x ↦ A·x+B (mod 2^Bits) with exact cycle
-	// structure.
-	CycleMap = cycle.Map
-	// CycleClass is one census entry (cycle length, count).
-	CycleClass = cycle.Class
-)
+// CycleMap is an affine map x ↦ A·x+B (mod 2^Bits) with exact cycle
+// structure.
+type CycleMap = cycle.Map
 
 // SlammerCycleMap returns the cycle-analysis view of the Slammer LCG.
 func SlammerCycleMap(variant int) CycleMap { return worm.SlammerMap(variant) }
@@ -134,12 +75,6 @@ func SlammerCycleMap(variant int) CycleMap { return worm.SlammerMap(variant) }
 // NewCycleMap builds the cycle-analysis view of an arbitrary affine map
 // x ↦ a·x + b (mod 2^bits); a must be ≡ 1 (mod 4).
 func NewCycleMap(a, b uint32, bits uint) (CycleMap, error) { return cycle.NewMap(a, b, bits) }
-
-// SlammerIntendedMap returns the ablation LCG: Slammer's multiplier with a
-// proper odd increment (MSVCRT's 2531011), giving one full-period cycle.
-func SlammerIntendedMap() CycleMap {
-	return cycle.MustNewMap(worm.SlammerMultiplier, rng.MSVCRTIncrement, 32)
-}
 
 // Populations.
 type (
@@ -149,8 +84,6 @@ type (
 	PopulationConfig = population.Config
 	// CoverageAnchor pins the population's /16 coverage curve.
 	CoverageAnchor = population.CoverageAnchor
-	// Host is one vulnerable host.
-	Host = population.Host
 )
 
 // DefaultCodeRedIIPopulation reproduces the paper's measured CodeRedII
@@ -164,14 +97,6 @@ func SynthesizePopulation(cfg PopulationConfig) (*Population, error) {
 	return population.Synthesize(cfg)
 }
 
-// Environment.
-type (
-	// Environment models filtering, loss, and topology factors.
-	Environment = netenv.Environment
-	// Org is an address-space holder with an egress-filtering posture.
-	Org = netenv.Org
-)
-
 // Sensors and detection.
 type (
 	// SensorBlock is a named darknet block.
@@ -180,29 +105,7 @@ type (
 	SensorFleet = sensor.Fleet
 	// DetectorFleet is a threshold-alerting detector fleet.
 	DetectorFleet = detect.ThresholdFleet
-	// ScanDetector is a TRW sequential-hypothesis-testing scan detector.
-	ScanDetector = detect.TRW
-	// ContentDetector is an EarlyBird-style content-prevalence detector.
-	ContentDetector = payload.Earlybird
 )
-
-// Connection outcomes fed to a ScanDetector.
-const (
-	ProbeFailure = detect.Failure
-	ProbeSuccess = detect.Success
-)
-
-// NewScanDetector builds a TRW detector at the original paper's operating
-// point.
-func NewScanDetector() (*ScanDetector, error) {
-	return detect.NewTRW(detect.DefaultTRWConfig())
-}
-
-// NewContentDetector builds an EarlyBird-style detector with simulation-
-// scaled defaults.
-func NewContentDetector() (*ContentDetector, error) {
-	return payload.NewEarlybird(payload.DefaultEarlybirdConfig())
-}
 
 // IMSBlocks returns the paper's eleven monitored blocks.
 func IMSBlocks() []SensorBlock { return sensor.DefaultIMSBlocks() }
@@ -230,8 +133,6 @@ func OnePerSlash16Placement(slash16s []uint32, seed uint64) []Prefix {
 type (
 	// SimConfig configures the aggregated epidemic driver.
 	SimConfig = sim.FastConfig
-	// ExactSimConfig configures the probe-exact driver.
-	ExactSimConfig = sim.ExactConfig
 	// SimResult is a completed run.
 	SimResult = sim.Result
 	// RateModel decomposes a memoryless scanner for the fast driver.
@@ -240,9 +141,6 @@ type (
 
 // Simulate runs the aggregated (fast) epidemic driver.
 func Simulate(cfg SimConfig) (*SimResult, error) { return sim.RunFast(cfg) }
-
-// SimulateExact runs the probe-exact epidemic driver.
-func SimulateExact(cfg ExactSimConfig) (*SimResult, error) { return sim.RunExact(cfg) }
 
 // UniformRateModel returns the fast-driver model of a uniform scanner.
 func UniformRateModel() RateModel { return sim.NewUniformModel() }
@@ -253,16 +151,9 @@ func HitListRateModel(set *AddrSet) RateModel { return &sim.HitListModel{List: s
 // CodeRedIIRateModel returns the fast-driver model of CRII's preference.
 func CodeRedIIRateModel() RateModel { return sim.NewCodeRedIIModel() }
 
-// LocalPreferenceRateModel returns the fast-driver model of a generic
-// local-preference profile.
-func LocalPreferenceRateModel(prefs Preference) (RateModel, error) {
-	return sim.NewLocalPrefModel(prefs)
-}
-
-// Observability. A MetricsRegistry threaded through SimConfig.Metrics or
-// ExactSimConfig.Metrics meters a run without perturbing it: telemetry
-// consumes no randomness, so a metered run is byte-identical to an
-// unmetered one with the same seed.
+// Observability. A MetricsRegistry threaded through SimConfig.Metrics
+// meters a run without perturbing it: telemetry consumes no randomness, so
+// a metered run is byte-identical to an unmetered one with the same seed.
 type (
 	// MetricsRegistry collects counters, gauges and fixed-bucket
 	// histograms; snapshot it with WritePrometheus or WriteJSON.
@@ -280,61 +171,3 @@ type (
 
 // NewMetricsRegistry builds an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// SI is the closed-form simple-epidemic (logistic) model.
-type SI = epidemic.SI
-
-// NewSIModel builds the analytic epidemic baseline for a scanner probing a
-// space of the given size.
-func NewSIModel(scanRate float64, populationSize, seeds int, space float64) (SI, error) {
-	return epidemic.NewSI(scanRate, populationSize, seeds, space)
-}
-
-// Analysis.
-type (
-	// HotspotReport quantifies non-uniformity of a distribution.
-	HotspotReport = core.Report
-	// FactorClass is the algorithmic/environmental taxonomy.
-	FactorClass = core.FactorClass
-)
-
-// Factor classes.
-const (
-	Algorithmic   = core.Algorithmic
-	Environmental = core.Environmental
-)
-
-// AnalyzeDistribution computes the hotspot report of per-bucket counts.
-func AnalyzeDistribution(counts []uint64) HotspotReport { return core.Analyze(counts) }
-
-// FactorDelta compares a distribution against its factor-ablated twin.
-type FactorDelta = core.Delta
-
-// CompareDistributions quantifies how much of the non-uniformity in
-// withFactor disappears in the ablated run — the attribution step of a
-// hotspot root-cause analysis.
-func CompareDistributions(withFactor, ablated []uint64) (FactorDelta, error) {
-	return core.Compare(withFactor, ablated)
-}
-
-// Experiments.
-type (
-	// Experiment results bundle tables, figures and notes.
-	ExperimentResult = experiments.Result
-	// ExperimentScale selects quick or full fidelity.
-	ExperimentScale = experiments.Scale
-)
-
-// Experiment scales.
-const (
-	QuickScale = experiments.Quick
-	FullScale  = experiments.Full
-)
-
-// ExperimentNames lists the reproducible tables and figures.
-func ExperimentNames() []string { return experiments.Names() }
-
-// RunExperiment reproduces one table or figure by id ("table1" … "fig5c").
-func RunExperiment(id string, seed uint64, scale ExperimentScale) (*ExperimentResult, error) {
-	return experiments.Run(id, seed, scale)
-}

@@ -17,31 +17,14 @@ func TestParseHelpers(t *testing.T) {
 	if !a.IsPrivate() {
 		t.Error("192.168.0.100 not private")
 	}
-	p, err := hotspots.ParsePrefix("10.0.0.0/8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Contains(hotspots.Addr(0x0a010203)) {
-		t.Error("prefix containment broken")
-	}
 	if _, err := hotspots.ParseAddr("x"); err == nil {
 		t.Error("bad address accepted")
-	}
-	if _, err := hotspots.ParsePrefix("10.0.0.0"); err == nil {
-		t.Error("bad prefix accepted")
 	}
 }
 
 func TestWormFactories(t *testing.T) {
 	own, _ := hotspots.ParseAddr("18.31.0.5")
-	factories := []hotspots.WormFactory{
-		hotspots.Uniform,
-		hotspots.Permutation,
-		hotspots.CodeRedII,
-		hotspots.Slammer(1),
-		hotspots.Blaster(hotspots.DefaultBlasterTicks()),
-	}
-	for _, f := range factories {
+	for _, f := range []hotspots.WormFactory{hotspots.CodeRedII} {
 		gen := f.New(own, 1)
 		for i := 0; i < 10; i++ {
 			_ = gen.Next()
@@ -57,7 +40,10 @@ func TestCycleMaps(t *testing.T) {
 	if got := m.TotalCycles(); got != 64 {
 		t.Errorf("Slammer cycles = %d, want 64", got)
 	}
-	proper := hotspots.SlammerIntendedMap()
+	proper, err := hotspots.NewCycleMap(214013, 2531011, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := proper.TotalCycles(); got != 1 {
 		t.Errorf("intended-map cycles = %d, want 1", got)
 	}
@@ -118,44 +104,6 @@ func TestEndToEndSimulationWithDetection(t *testing.T) {
 	}
 }
 
-func TestExactSimulationFacade(t *testing.T) {
-	pop, err := hotspots.SynthesizePopulation(hotspots.PopulationConfig{
-		Size: 500, Slash8s: 5, Slash16s: 20, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := hotspots.SimulateExact(hotspots.ExactSimConfig{
-		Pop:         pop,
-		Factory:     hotspots.Uniform,
-		ScanRate:    100,
-		TickSeconds: 1,
-		MaxSeconds:  10,
-		SeedHosts:   5,
-		Seed:        1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Final.Infected < 5 {
-		t.Error("seeds lost")
-	}
-}
-
-func TestAnalyzeDistributionFacade(t *testing.T) {
-	rep := hotspots.AnalyzeDistribution([]uint64{1, 1, 1, 1, 500})
-	if rep.IsUniform() {
-		t.Error("hotspotted distribution reported uniform")
-	}
-	if len(rep.Hotspots) != 1 {
-		t.Errorf("hotspots = %d, want 1", len(rep.Hotspots))
-	}
-	if hotspots.Algorithmic.String() != "algorithmic" ||
-		hotspots.Environmental.String() != "environmental" {
-		t.Error("factor class names wrong")
-	}
-}
-
 func TestSensorFleetFacade(t *testing.T) {
 	fleet, err := hotspots.NewSensorFleet(hotspots.IMSBlocks())
 	if err != nil {
@@ -171,87 +119,23 @@ func TestSensorFleetFacade(t *testing.T) {
 	}
 }
 
-func TestExperimentRegistryFacade(t *testing.T) {
-	names := hotspots.ExperimentNames()
-	if len(names) != 16 {
-		t.Fatalf("experiments = %d, want 16", len(names))
-	}
-	res, err := hotspots.RunExperiment("table1", 1, hotspots.QuickScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tables) == 0 {
-		t.Error("table1 produced no table")
-	}
-	if _, err := hotspots.RunExperiment("bogus", 1, hotspots.QuickScale); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-}
-
 func TestWormFactoryHelpers(t *testing.T) {
 	own, _ := hotspots.ParseAddr("18.31.0.5")
 	set, cover := hotspots.BuildHitList([]hotspots.Addr{own, own + 1, own + 2}, 1)
 	if cover != 1 || set.Size() != 1<<16 {
 		t.Errorf("BuildHitList cover=%v size=%d", cover, set.Size())
 	}
-	for _, f := range []hotspots.WormFactory{
-		hotspots.HitListWorm(set),
-		hotspots.Witty(),
-		hotspots.SequentialWorm(),
-		hotspots.LocalPreferenceWorm(hotspots.Preference{Same16: 0.5}),
-	} {
-		g := f.New(own, 9)
-		for i := 0; i < 5; i++ {
-			_ = g.Next()
-		}
-	}
 }
 
 func TestRateModelHelpers(t *testing.T) {
-	if m := hotspots.CodeRedIIRateModel(); m.Name() == "" {
-		t.Error("CRII model has no name")
-	}
-	m, err := hotspots.LocalPreferenceRateModel(hotspots.Preference{Same8: 0.25})
-	if err != nil || m.Name() == "" {
-		t.Errorf("local-pref model: %v", err)
-	}
-	if _, err := hotspots.LocalPreferenceRateModel(hotspots.Preference{Same8: 5}); err == nil {
-		t.Error("invalid preference accepted")
-	}
-}
-
-func TestSIModelFacade(t *testing.T) {
-	m, err := hotspots.NewSIModel(10, 100000, 25, float64(uint64(1)<<32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Infected(0) < 24 || m.Infected(0) > 26 {
-		t.Errorf("I(0) = %v", m.Infected(0))
-	}
-	if _, err := hotspots.NewSIModel(0, 1, 1, 1); err == nil {
-		t.Error("invalid SI config accepted")
-	}
-}
-
-func TestDetectorConstructors(t *testing.T) {
-	scan, err := hotspots.NewScanDetector()
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, _ := hotspots.ParseAddr("6.6.6.6")
-	for i := 0; i < 10 && !scan.IsScanner(src); i++ {
-		scan.Observe(src, hotspots.ProbeFailure)
-	}
-	if !scan.IsScanner(src) {
-		t.Error("pure scanner not flagged")
-	}
-
-	content, err := hotspots.NewContentDetector()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if content.Alarms() != 0 {
-		t.Error("fresh content detector has alarms")
+	for _, m := range []hotspots.RateModel{
+		hotspots.UniformRateModel(),
+		hotspots.CodeRedIIRateModel(),
+		hotspots.HitListRateModel(&hotspots.AddrSet{}),
+	} {
+		if m.Name() == "" {
+			t.Errorf("%T has no name", m)
+		}
 	}
 }
 

@@ -5,42 +5,14 @@
 // The inputs are observation distributions: probe or unique-source counts
 // per bucket (per destination /24 at a darknet, per sensor in a fleet). The
 // package quantifies non-uniformity (chi-square against uniform, KL
-// divergence, Gini coefficient, orders-of-magnitude spread), locates
-// hotspot buckets, classifies the causal factor (algorithmic vs
-// environmental, per the paper's taxonomy), and evaluates what the
-// non-uniformity does to distributed-detection visibility.
+// divergence, Gini coefficient, orders-of-magnitude spread) and locates
+// hotspot buckets.
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// FactorClass is the paper's two-way taxonomy of hotspot root causes.
-type FactorClass int
-
-// Hotspot factor classes.
-const (
-	// Algorithmic factors are host-level and programmatic: hit-lists,
-	// flawed or badly seeded PRNGs, deliberate local preference.
-	Algorithmic FactorClass = iota + 1
-	// Environmental factors are external: routing and filtering policy,
-	// failures and misconfiguration, topology (NAT/private addressing).
-	Environmental
-)
-
-// String names the class.
-func (f FactorClass) String() string {
-	switch f {
-	case Algorithmic:
-		return "algorithmic"
-	case Environmental:
-		return "environmental"
-	default:
-		return fmt.Sprintf("FactorClass(%d)", int(f))
-	}
-}
 
 // ChiSquareUniform returns the chi-square statistic of counts against the
 // uniform distribution and the degrees of freedom. A worm with no hotspots
@@ -231,41 +203,4 @@ func Analyze(counts []uint64) Report {
 	rep.SpreadOrders = SpreadOrders(counts)
 	rep.Hotspots = FindHotspots(counts, 5)
 	return rep
-}
-
-// Visibility quantifies what a distribution of per-sensor observations
-// means for distributed detection.
-type Visibility struct {
-	// Sensors is the fleet size.
-	Sensors int
-	// TouchedFraction is the share of sensors with ≥1 observation.
-	TouchedFraction float64
-	// AlertedFraction is the share of sensors at or above the alert
-	// threshold.
-	AlertedFraction float64
-	// QuorumReachable reports whether a majority quorum could ever form.
-	QuorumReachable bool
-}
-
-// DetectionVisibility evaluates sensor-level visibility of a threat whose
-// per-sensor observation counts are given, for an alert threshold
-// (the paper uses 5 payloads).
-func DetectionVisibility(counts []uint64, threshold uint64) Visibility {
-	v := Visibility{Sensors: len(counts)}
-	if len(counts) == 0 {
-		return v
-	}
-	var touched, alerted int
-	for _, c := range counts {
-		if c > 0 {
-			touched++
-		}
-		if c >= threshold {
-			alerted++
-		}
-	}
-	v.TouchedFraction = float64(touched) / float64(len(counts))
-	v.AlertedFraction = float64(alerted) / float64(len(counts))
-	v.QuorumReachable = v.AlertedFraction >= 0.5
-	return v
 }

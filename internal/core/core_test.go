@@ -144,33 +144,3 @@ func TestAnalyzeReport(t *testing.T) {
 		t.Errorf("Gini = %v, want > 0.5", rep.Gini)
 	}
 }
-
-func TestDetectionVisibility(t *testing.T) {
-	counts := []uint64{0, 0, 0, 1, 2, 4, 5, 9, 100, 3}
-	v := DetectionVisibility(counts, 5)
-	if v.Sensors != 10 {
-		t.Errorf("Sensors = %d", v.Sensors)
-	}
-	if got := v.TouchedFraction; math.Abs(got-0.7) > 1e-9 {
-		t.Errorf("TouchedFraction = %v, want 0.7", got)
-	}
-	if got := v.AlertedFraction; math.Abs(got-0.3) > 1e-9 {
-		t.Errorf("AlertedFraction = %v, want 0.3", got)
-	}
-	if v.QuorumReachable {
-		t.Error("quorum should not be reachable at 30%")
-	}
-	empty := DetectionVisibility(nil, 5)
-	if empty.Sensors != 0 || empty.QuorumReachable {
-		t.Error("empty visibility wrong")
-	}
-}
-
-func TestFactorClassString(t *testing.T) {
-	if Algorithmic.String() != "algorithmic" || Environmental.String() != "environmental" {
-		t.Error("factor names wrong")
-	}
-	if FactorClass(7).String() != "FactorClass(7)" {
-		t.Error("unknown factor formatting wrong")
-	}
-}

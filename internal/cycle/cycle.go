@@ -186,39 +186,6 @@ func (m Map) TotalCycles() uint64 {
 	return n
 }
 
-// Walk iterates the trajectory of x for at most steps applications,
-// invoking visit with each successive state (starting with T(x), not x).
-// It stops early if visit returns false.
-func (m Map) Walk(x uint32, steps uint64, visit func(uint32) bool) {
-	cur := x
-	for i := uint64(0); i < steps; i++ {
-		cur = m.Step(cur)
-		if !visit(cur) {
-			return
-		}
-	}
-}
-
-// CycleMin returns the canonical identifier of the cycle containing x — its
-// minimum element — along with the cycle length. It iterates the full cycle
-// and must only be used when Period(x) is tractable; it returns ok=false
-// without iterating if Period(x) exceeds maxLen.
-func (m Map) CycleMin(x uint32, maxLen uint64) (minState uint32, length uint64, ok bool) {
-	length = m.Period(x)
-	if length > maxLen {
-		return 0, length, false
-	}
-	minState = x
-	cur := x
-	for i := uint64(1); i < length; i++ {
-		cur = m.Step(cur)
-		if cur < minState {
-			minState = cur
-		}
-	}
-	return minState, length, true
-}
-
 // Progression is an arithmetic progression of states {Start + i·Step mod 2^Bits}.
 type Progression struct {
 	Start uint32

@@ -152,61 +152,6 @@ func TestIntendedIncrementIsAlsoFlawed(t *testing.T) {
 	}
 }
 
-func TestWalkVisitsTrajectory(t *testing.T) {
-	m := MustNewMap(slammerA, 0x5000, 32)
-	var got []uint32
-	m.Walk(1, 5, func(x uint32) bool {
-		got = append(got, x)
-		return true
-	})
-	want := uint32(1)
-	for i := 0; i < 5; i++ {
-		want = want*slammerA + 0x5000
-		if got[i] != want {
-			t.Fatalf("Walk step %d = %#x, want %#x", i, got[i], want)
-		}
-	}
-
-	// Early termination.
-	var n int
-	m.Walk(1, 100, func(uint32) bool {
-		n++
-		return n < 3
-	})
-	if n != 3 {
-		t.Errorf("Walk visited %d states after early stop, want 3", n)
-	}
-}
-
-func TestCycleMin(t *testing.T) {
-	m := MustNewMap(slammerA, 0x5000, 16)
-	// Find some state on a short cycle and verify CycleMin is stable across
-	// every member of the cycle.
-	prog, ok := m.StatesWithPeriodAtMost(16)
-	if !ok {
-		t.Fatal("no short cycles found")
-	}
-	x := prog.Nth(0)
-	min0, length, ok := m.CycleMin(x, 1<<16)
-	if !ok {
-		t.Fatal("CycleMin refused tractable cycle")
-	}
-	cur := x
-	for i := uint64(0); i < length; i++ {
-		mi, l2, ok := m.CycleMin(cur, 1<<16)
-		if !ok || mi != min0 || l2 != length {
-			t.Fatalf("member %#x: CycleMin = (%#x,%d,%v), want (%#x,%d,true)", cur, mi, l2, ok, min0, length)
-		}
-		cur = m.Step(cur)
-	}
-
-	// Refusal path.
-	big := MustNewMap(slammerA, 0x5000, 32)
-	if _, _, ok := big.CycleMin(1, 1000); ok {
-		t.Error("CycleMin iterated a cycle longer than maxLen")
-	}
-}
-
 func TestStatesWithPeriodAtMostExact(t *testing.T) {
 	m := MustNewMap(slammerA, 0x5000, 16)
 	for _, maxLen := range []uint64{1, 2, 8, 64, 1 << 10, 1 << 16} {

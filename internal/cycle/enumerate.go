@@ -4,8 +4,7 @@ import "fmt"
 
 // ForEachShortCycle invokes fn exactly once per distinct cycle whose length
 // is at most maxLen, passing a representative state and the cycle length.
-// Callers iterate a cycle's members with Walk(start, length−1, …) (plus the
-// start state itself).
+// Callers iterate a cycle's members by stepping the map from start.
 //
 // Only the short-cycle states are touched: they form an arithmetic
 // progression (see StatesWithPeriodAtMost), so the cost is O(#short states),

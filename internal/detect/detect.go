@@ -1,7 +1,7 @@
 // Package detect implements the distributed detection systems whose
 // blindness to hotspots is the paper's Section 5 result: fleets of /24
 // darknet detectors with threshold alerting, quorum aggregation over fleet
-// alerts, placement strategies, and a content-prevalence baseline.
+// alerts, and placement strategies.
 //
 // The paper's detector: "each sensor was set to generate an alert after
 // observing n worm infection attempts … our detector had no false positives
@@ -262,48 +262,4 @@ func QuorumReached(f *ThresholdFleet, fraction float64) bool {
 // two is how ext-faults quantifies the cost of not tracking fleet health.
 func QuorumReachedDegraded(f *ThresholdFleet, fraction float64) bool {
 	return f.AlertedFractionOfUp() >= fraction
-}
-
-// PrevalenceDetector is the content-prevalence baseline (Autograph /
-// EarlyBird style): it counts occurrences of each payload signature across
-// everything it observes and alerts once a signature's count reaches the
-// threshold. Hotspots break it the same way: a sensor outside the hotspot
-// never accumulates the count.
-type PrevalenceDetector struct {
-	threshold uint64
-	counts    map[string]uint64
-}
-
-// NewPrevalenceDetector returns a detector alerting at threshold
-// occurrences of any single signature.
-func NewPrevalenceDetector(threshold uint64) *PrevalenceDetector {
-	if threshold == 0 {
-		threshold = 1
-	}
-	return &PrevalenceDetector{threshold: threshold, counts: make(map[string]uint64)}
-}
-
-// Observe records one occurrence of signature.
-func (d *PrevalenceDetector) Observe(signature string) {
-	d.counts[signature]++
-}
-
-// Count returns the occurrences of signature.
-func (d *PrevalenceDetector) Count(signature string) uint64 { return d.counts[signature] }
-
-// Alerted reports whether signature crossed the prevalence threshold.
-func (d *PrevalenceDetector) Alerted(signature string) bool {
-	return d.counts[signature] >= d.threshold
-}
-
-// AlertedSignatures returns every signature over threshold, sorted.
-func (d *PrevalenceDetector) AlertedSignatures() []string {
-	var out []string
-	for sig, c := range d.counts {
-		if c >= d.threshold {
-			out = append(out, sig)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -98,36 +98,6 @@ func TestUnionCoversFleet(t *testing.T) {
 	}
 }
 
-func TestPrevalenceDetector(t *testing.T) {
-	d := NewPrevalenceDetector(3)
-	for i := 0; i < 2; i++ {
-		d.Observe("slammer")
-	}
-	if d.Alerted("slammer") {
-		t.Error("alerted below threshold")
-	}
-	d.Observe("slammer")
-	if !d.Alerted("slammer") {
-		t.Error("no alert at threshold")
-	}
-	d.Observe("blaster")
-	if d.Alerted("blaster") {
-		t.Error("unrelated signature alerted")
-	}
-	if got := d.Count("slammer"); got != 3 {
-		t.Errorf("Count = %d, want 3", got)
-	}
-	if sigs := d.AlertedSignatures(); len(sigs) != 1 || sigs[0] != "slammer" {
-		t.Errorf("AlertedSignatures = %v", sigs)
-	}
-	// Zero threshold is clamped to 1.
-	z := NewPrevalenceDetector(0)
-	z.Observe("x")
-	if !z.Alerted("x") {
-		t.Error("threshold-0 detector never alerts")
-	}
-}
-
 func TestRandomSlash24s(t *testing.T) {
 	exclude := ipv4.SetOfPrefixes(ipv4.MustParsePrefix("41.0.0.0/8"))
 	prefixes, err := RandomSlash24s(500, 1, exclude)

@@ -69,9 +69,6 @@ func (m SI) TimeToFraction(f float64) (float64, error) {
 	return math.Log((m.N/m.I0-1)*f/(1-f)) / m.Beta, nil
 }
 
-// DoublingTime returns the early-phase doubling time ln2/β.
-func (m SI) DoublingTime() float64 { return math.Ln2 / m.Beta }
-
 // FitBeta estimates β from an observed epidemic curve by least-squares
 // regression of the log-odds logit(I/N) against time, using only points
 // strictly between 1% and 99% infected (where the logit is informative).

@@ -113,9 +113,6 @@ func (r *Result) SetMetric(name string, v float64) {
 	r.Metrics[name] = v
 }
 
-// Metric returns a named scalar outcome (0 if absent).
-func (r *Result) Metric(name string) float64 { return r.Metrics[name] }
-
 // Downsample reduces a series to at most n points by striding, always
 // keeping the final point; it returns the input when already small enough.
 func Downsample(s Series, n int) Series {

@@ -55,7 +55,7 @@ func TestRegistryRunsAllQuick(t *testing.T) {
 	for _, id := range Names() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			res, err := Run(id, 1, Quick)
+			res, err := RunObserved(id, 1, Quick, nil)
 			if err != nil {
 				t.Fatalf("Run(%s): %v", id, err)
 			}
@@ -70,7 +70,7 @@ func TestRegistryRunsAllQuick(t *testing.T) {
 }
 
 func TestRunUnknownID(t *testing.T) {
-	if _, err := Run("nope", 1, Quick); err == nil {
+	if _, err := RunObserved("nope", 1, Quick, nil); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }

@@ -21,7 +21,7 @@ func TestExtThresholdShapeCappedByCoverage(t *testing.T) {
 	// sensor coverage.
 	prev := 1.0
 	for _, th := range cfg.Thresholds {
-		a := res.Metric(fmt.Sprintf("ext-threshold.%d.alerted", th))
+		a := res.Metrics[fmt.Sprintf("ext-threshold.%d.alerted", th)]
 		if a > prev+1e-9 {
 			t.Errorf("alerted fraction increased with threshold %d: %v > %v", th, a, prev)
 		}
@@ -49,9 +49,9 @@ func TestExtNATSweepShapeMonotoneValue(t *testing.T) {
 	// and its first alert must come no later than the random fleet's (its
 	// sensors sit directly in the leak).
 	for _, nat := range cfg.NATFractions {
-		sFinal := res.Metric(fmt.Sprintf("ext-natsweep.%.2f.sweep_final", nat))
-		sFirst := res.Metric(fmt.Sprintf("ext-natsweep.%.2f.sweep_first", nat))
-		rFirst := res.Metric(fmt.Sprintf("ext-natsweep.%.2f.random_first", nat))
+		sFinal := res.Metrics[fmt.Sprintf("ext-natsweep.%.2f.sweep_final", nat)]
+		sFirst := res.Metrics[fmt.Sprintf("ext-natsweep.%.2f.sweep_first", nat)]
+		rFirst := res.Metrics[fmt.Sprintf("ext-natsweep.%.2f.random_first", nat)]
 		if sFinal < 0.9 {
 			t.Errorf("NAT %.0f%%: sweep final alerted %.3f, want ≈1", 100*nat, sFinal)
 		}
@@ -73,8 +73,8 @@ func TestExtPrevalenceShapeInsideOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inside := res.Metric("ext-prevalence.inside_alarms")
-	outside := res.Metric("ext-prevalence.outside_alarms")
+	inside := res.Metrics["ext-prevalence.inside_alarms"]
+	outside := res.Metrics["ext-prevalence.outside_alarms"]
 	if inside == 0 {
 		t.Error("in-hotspot prevalence sensor never extracted a signature")
 	}
@@ -91,9 +91,9 @@ func TestExtContainmentShapeEarlierDetectionSavesHosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	none := res.Metric("ext-containment.no response.infected")
-	sweep192 := res.Metric("ext-containment.placed 192/8.infected")
-	random := res.Metric("ext-containment.randomly placed.infected")
+	none := res.Metrics["ext-containment.no response.infected"]
+	sweep192 := res.Metrics["ext-containment.placed 192/8.infected"]
+	random := res.Metrics["ext-containment.randomly placed.infected"]
 	if none < 0.5 {
 		t.Fatalf("uncontained outbreak only reached %.3f", none)
 	}
@@ -108,7 +108,7 @@ func TestExtContainmentShapeEarlierDetectionSavesHosts(t *testing.T) {
 		t.Errorf("192/8-triggered containment (%.3f infected) worse than random-triggered (%.3f)",
 			sweep192, random)
 	}
-	if at := res.Metric("ext-containment.placed 192/8.engaged_at"); at < 0 {
+	if at := res.Metrics["ext-containment.placed 192/8.engaged_at"]; at < 0 {
 		t.Error("192/8 fleet never engaged containment")
 	}
 }
@@ -118,7 +118,7 @@ func TestExtWittyShapeTenPercentCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frac := res.Metric("ext-witty.unreachable_fraction")
+	frac := res.Metrics["ext-witty.unreachable_fraction"]
 	if frac < 0.08 || frac > 0.12 {
 		t.Errorf("unreachable fraction = %.4f, want ≈0.10", frac)
 	}
@@ -135,22 +135,22 @@ func TestExtIMSShapeActiveResponseMatters(t *testing.T) {
 		t.Fatal(err)
 	}
 	// UDP (Slammer): payloads and signatures in both modes.
-	if res.Metric("ext-ims.slammer.passive.payloads") == 0 ||
-		res.Metric("ext-ims.slammer.active-synack.payloads") == 0 {
+	if res.Metrics["ext-ims.slammer.passive.payloads"] == 0 ||
+		res.Metrics["ext-ims.slammer.active-synack.payloads"] == 0 {
 		t.Error("Slammer payloads missing in some mode")
 	}
 	// TCP (CodeRedII): payloads only with active response; signatures
 	// follow payloads.
-	if got := res.Metric("ext-ims.codered2.passive.payloads"); got != 0 {
+	if got := res.Metrics["ext-ims.codered2.passive.payloads"]; got != 0 {
 		t.Errorf("passive telescope obtained %v TCP payloads", got)
 	}
-	if res.Metric("ext-ims.codered2.active-synack.payloads") == 0 {
+	if res.Metrics["ext-ims.codered2.active-synack.payloads"] == 0 {
 		t.Error("active responder obtained no TCP payloads")
 	}
-	if got := res.Metric("ext-ims.codered2.passive.signatures"); got != 0 {
+	if got := res.Metrics["ext-ims.codered2.passive.signatures"]; got != 0 {
 		t.Errorf("passive telescope extracted %v TCP signatures", got)
 	}
-	if res.Metric("ext-ims.codered2.active-synack.signatures") == 0 {
+	if res.Metrics["ext-ims.codered2.active-synack.signatures"] == 0 {
 		t.Error("active responder extracted no CRII signature")
 	}
 }

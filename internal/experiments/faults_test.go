@@ -44,7 +44,7 @@ func TestExtFaultsMonotoneFirstAlarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	alarmOf := func(b, f float64) float64 {
-		a := res.Metric(fmt.Sprintf("ext-faults.burst%g.outage%g.first_alarm", b, f))
+		a := res.Metrics[fmt.Sprintf("ext-faults.burst%g.outage%g.first_alarm", b, f)]
 		if a < 0 {
 			return math.Inf(1) // never alerted: later than any time
 		}
@@ -62,14 +62,14 @@ func TestExtFaultsMonotoneFirstAlarm(t *testing.T) {
 					b, prevAlarm, alarm, f)
 			}
 			prevAlarm = alarm
-			alerted := res.Metric(fmt.Sprintf("ext-faults.burst%g.outage%g.alerted", b, f))
+			alerted := res.Metrics[fmt.Sprintf("ext-faults.burst%g.outage%g.alerted", b, f)]
 			if alerted > prevAlerted+1e-9 {
 				t.Errorf("burst %g: alerted fraction rose to %.3f as outage rose to %g", b, alerted, f)
 			}
 			prevAlerted = alerted
 			// Whole-run withdrawals never alert, so renormalizing over the
 			// in-service detectors can only help.
-			alertedUp := res.Metric(fmt.Sprintf("ext-faults.burst%g.outage%g.alerted_up", b, f))
+			alertedUp := res.Metrics[fmt.Sprintf("ext-faults.burst%g.outage%g.alerted_up", b, f)]
 			if alertedUp+1e-9 < alerted {
 				t.Errorf("burst %g outage %g: alerted-of-up %.3f below naive %.3f", b, f, alertedUp, alerted)
 			}

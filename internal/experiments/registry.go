@@ -149,11 +149,6 @@ func Names() []string {
 	return sortedKeys(Registry())
 }
 
-// Run executes one registered experiment by id, without observability.
-func Run(id string, seed uint64, scale Scale) (*Result, error) {
-	return RunObserved(id, seed, scale, nil)
-}
-
 // quickPopulation is a ~20k-host population with the same clustering shape
 // as the paper's, for fast runs.
 func quickPopulation(seed uint64) population.Config {

@@ -42,7 +42,7 @@ func TestWriteMarkdown(t *testing.T) {
 }
 
 func TestWriteMarkdownFromRegistry(t *testing.T) {
-	res, err := Run("table1", 1, Quick)
+	res, err := RunObserved("table1", 1, Quick, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TestFig2ShapeClusteredSeedsCreateNonUniformity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gini := res.Metric("fig2.gini_unique")
+	gini := res.Metrics["fig2.gini_unique"]
 
 	// Ablation: with uniformly random seeds, the affine orbit structure
 	// provably yields near-uniform expected counts.
@@ -111,7 +111,7 @@ func TestFig2ShapeClusteredSeedsCreateNonUniformity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ablGini := abl.Metric("fig2.gini_unique")
+	ablGini := abl.Metrics["fig2.gini_unique"]
 	if gini < 2*ablGini || gini < 0.02 {
 		t.Errorf("clustered-seed Gini %.4f not clearly above uniform-seed %.4f", gini, ablGini)
 	}
@@ -159,8 +159,8 @@ func TestFig4ShapeMBlockHotspot(t *testing.T) {
 		t.Errorf("fig4a M mean %.1f vs others %.1f: hotspot missing", mMean, otherMean)
 	}
 	// 4b vs 4c: only the NAT'd host floods the M block.
-	mOutside := res.Metric("Figure 4b.m_attempts")
-	mNAT := res.Metric("Figure 4c.m_attempts")
+	mOutside := res.Metrics["Figure 4b.m_attempts"]
+	mNAT := res.Metrics["Figure 4c.m_attempts"]
 	if mNAT < 10 || mNAT < 10*(mOutside+1) {
 		t.Errorf("quarantine M totals: outside=%v NAT=%v, want NAT ≫ outside", mOutside, mNAT)
 	}
@@ -192,8 +192,8 @@ func TestTable2ShapeEnterprisesInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ent := res.Metric("enterprise_visible")
-	isp := res.Metric("isp_visible")
+	ent := res.Metrics["enterprise_visible"]
+	isp := res.Metrics["isp_visible"]
 	if isp < 20*(ent+1) {
 		t.Errorf("ISP visibility %v not ≫ enterprise %v", isp, ent)
 	}
@@ -269,9 +269,9 @@ func TestFig5cShapePlacementOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	// At the 20%-infected mark: 192/8 sweep ≥ top-20 ≥ random.
-	r := res.Metric("fig5c.randomly placed.alerted_at_20pct")
-	t20 := res.Metric("fig5c.placed top-20 /8s.alerted_at_20pct")
-	s := res.Metric("fig5c.placed 192/8.alerted_at_20pct")
+	r := res.Metrics["fig5c.randomly placed.alerted_at_20pct"]
+	t20 := res.Metrics["fig5c.placed top-20 /8s.alerted_at_20pct"]
+	s := res.Metrics["fig5c.placed 192/8.alerted_at_20pct"]
 	if !(s >= t20 && t20 >= r) {
 		t.Errorf("placement ordering at 20%% infected: 192/8=%v top20=%v random=%v, want s ≥ t ≥ r", s, t20, r)
 	}
@@ -295,7 +295,7 @@ func TestFig5bQuorumFailureIsSeedRobust(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range cfg.HitListSizes {
-			if q := res.Metric(fmt.Sprintf("fig5b.%d.quorum", k)); q != 0 {
+			if q := res.Metrics[fmt.Sprintf("fig5b.%d.quorum", k)]; q != 0 {
 				t.Errorf("seed %d: %d-prefix list reached quorum", seed, k)
 			}
 		}

@@ -56,12 +56,3 @@ func (bi *blockIndex) locate(state uint32) (block, slot int, ok bool) {
 	}
 	return i, s, true
 }
-
-// totalSlots returns the total /24 slot count across blocks.
-func (bi *blockIndex) totalSlots() int {
-	n := 0
-	for _, s := range bi.slots {
-		n += s
-	}
-	return n
-}

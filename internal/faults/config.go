@@ -15,18 +15,15 @@ import (
 // Config is the wire format (checkpoint files, CLI flags, fuzz corpus);
 // Compile turns it into the Plan the simulation drivers query.
 type Config struct {
-	// Seed drives every random choice the plan makes (dwell times,
-	// misconfigured-org selection, report duplication). It is independent
-	// of the simulation seed so one outbreak can be replayed under many
-	// fault draws and vice versa.
+	// Seed drives every random choice the plan makes (dwell times, report
+	// duplication). It is independent of the simulation seed so one
+	// outbreak can be replayed under many fault draws and vice versa.
 	Seed uint64 `json:"seed"`
 	// Outages withdraw sensor blocks from service.
 	Outages []OutageConfig `json:"outages,omitempty"`
 	// Burst replaces the environment's uniform loss with a two-state
 	// Gilbert–Elliott channel.
 	Burst *BurstConfig `json:"burst,omitempty"`
-	// Misconfig silently corrupts a fraction of org egress policies.
-	Misconfig *MisconfigConfig `json:"misconfig,omitempty"`
 	// Reporting delays and duplicates sensor reports.
 	Reporting *ReportingConfig `json:"reporting,omitempty"`
 }
@@ -80,26 +77,6 @@ func (b *BurstConfig) MeanLoss() float64 {
 	return (b.MeanGood*b.LossGood + b.MeanBad*b.LossBad) / total
 }
 
-// Misconfiguration modes.
-const (
-	// MisconfigInvert flips an org's egress drop probability to its
-	// complement: a strict enterprise filter silently becomes a sieve and
-	// a transparent ISP border becomes a black hole.
-	MisconfigInvert = "invert"
-	// MisconfigGap zeroes the drop probability: the filter is configured
-	// but not applied (the classic silently-failed ACL push).
-	MisconfigGap = "gap"
-)
-
-// MisconfigConfig corrupts a deterministic fraction of org egress
-// policies.
-type MisconfigConfig struct {
-	// Fraction of orgs whose egress policy is corrupted, in [0,1].
-	Fraction float64 `json:"fraction"`
-	// Mode is MisconfigInvert or MisconfigGap.
-	Mode string `json:"mode"`
-}
-
 // ReportingConfig delays and duplicates the reports sensors deliver to
 // the detection layer (a congested collector, an at-least-once queue).
 type ReportingConfig struct {
@@ -148,14 +125,6 @@ func (c *Config) Validate() error {
 			return errors.New("faults: burst loss rates must be probabilities in [0,1]")
 		}
 	}
-	if m := c.Misconfig; m != nil {
-		if !validProb(m.Fraction) {
-			return errors.New("faults: misconfig fraction must be in [0,1]")
-		}
-		if m.Mode != MisconfigInvert && m.Mode != MisconfigGap {
-			return fmt.Errorf("faults: unknown misconfig mode %q (%s|%s)", m.Mode, MisconfigInvert, MisconfigGap)
-		}
-	}
 	if r := c.Reporting; r != nil {
 		if !validNonNeg(r.Delay) {
 			return errors.New("faults: reporting delay must be finite and non-negative")
@@ -169,7 +138,7 @@ func (c *Config) Validate() error {
 
 // Empty reports whether the config describes no faults at all.
 func (c *Config) Empty() bool {
-	return len(c.Outages) == 0 && c.Burst == nil && c.Misconfig == nil && c.Reporting == nil
+	return len(c.Outages) == 0 && c.Burst == nil && c.Reporting == nil
 }
 
 // ParseConfig decodes and validates a JSON fault plan. Unknown fields are

@@ -3,6 +3,7 @@ package faults
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -15,7 +16,6 @@ func exampleConfig() Config {
 			{Block: "192.52.92.0/22", MeanUp: 300, MeanDown: 60},
 		},
 		Burst:     &BurstConfig{MeanGood: 120, MeanBad: 30, LossGood: 0.01, LossBad: 0.6},
-		Misconfig: &MisconfigConfig{Fraction: 0.25, Mode: MisconfigInvert},
 		Reporting: &ReportingConfig{Delay: 5, DupProb: 0.1},
 	}
 }
@@ -55,6 +55,16 @@ func TestParseConfigRejectsGarbage(t *testing.T) {
 		if _, err := ParseConfig([]byte(bad)); err == nil {
 			t.Errorf("accepted %q", bad)
 		}
+	}
+}
+
+// TestParseConfigRejectsMisconfig pins that a plan carrying a misconfig
+// section, which no driver models, fails to parse instead of running
+// fault-free.
+func TestParseConfigRejectsMisconfig(t *testing.T) {
+	_, err := ParseConfig([]byte(`{"misconfig":{"fraction":0.5,"mode":"gap"}}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "misconfig"`) {
+		t.Fatalf("ParseConfig(misconfig) = %v, want an unknown-field error", err)
 	}
 }
 

@@ -5,14 +5,13 @@
 // The paper names failures and misconfiguration as a first-class
 // environmental root cause of hotspots (alongside filtering policy and
 // topology), and its Section 5 detection results implicitly assume a fully
-// healthy sensor fleet. This package makes both assumptions adjustable:
+// healthy sensor fleet. This package makes failures and fleet health
+// adjustable; misconfiguration is not modelled:
 //
 //   - Sensor outages — scheduled withdrawals and Markov up/down flapping of
 //     darknet blocks, the realistic degradation of an IMS-style fleet.
 //   - Bursty probe loss — a Gilbert–Elliott two-state channel replacing the
 //     uniform loss coin flip.
-//   - Misconfigured egress policy — a fraction of org borders whose
-//     filtering silently inverts or gaps.
 //   - Degraded reporting — sensor reports delayed and duplicated on the way
 //     to the detection layer.
 //
@@ -28,7 +27,6 @@ import (
 	"sort"
 
 	"repro/internal/ipv4"
-	"repro/internal/netenv"
 	"repro/internal/rng"
 )
 
@@ -170,23 +168,6 @@ func Compile(cfg Config, horizon float64) (*Plan, error) {
 	return p, nil
 }
 
-// MustCompile is like Compile but panics on error.
-func MustCompile(cfg Config, horizon float64) *Plan {
-	p, err := Compile(cfg, horizon)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Config returns the plan's source configuration (zero value for nil).
-func (p *Plan) Config() Config {
-	if p == nil {
-		return Config{}
-	}
-	return p.cfg
-}
-
 // Horizon returns the compiled horizon in simulated seconds (0 for nil).
 func (p *Plan) Horizon() float64 {
 	if p == nil {
@@ -256,40 +237,6 @@ func (p *Plan) BurstBad(t float64) bool {
 	return p != nil && p.cfg.Burst != nil && p.burst.covers(t)
 }
 
-// Misconfigure returns a copy of orgs with the plan's misconfiguration
-// applied, plus the names of the corrupted orgs (sorted by selection
-// order). Selection is a deterministic seeded shuffle, so a growing
-// Fraction corrupts a superset of the orgs a smaller Fraction corrupts.
-func (p *Plan) Misconfigure(orgs []netenv.Org) ([]netenv.Org, []string) {
-	out := make([]netenv.Org, len(orgs))
-	copy(out, orgs)
-	if p == nil || p.cfg.Misconfig == nil || len(orgs) == 0 {
-		return out, nil
-	}
-	m := p.cfg.Misconfig
-	n := int(m.Fraction*float64(len(orgs)) + 0.5)
-	if n == 0 {
-		return out, nil
-	}
-	if n > len(orgs) {
-		n = len(orgs)
-	}
-	r := rng.NewXoshiro(rng.Mix64(p.cfg.Seed ^ 0x6d697363)) // "misc"
-	order := r.Shuffle(len(orgs))
-	var names []string
-	for _, idx := range order[:n] {
-		o := &out[idx]
-		switch m.Mode {
-		case MisconfigInvert:
-			o.EgressDrop = 1 - o.EgressDrop
-		case MisconfigGap:
-			o.EgressDrop = 0
-		}
-		names = append(names, o.Name)
-	}
-	return out, names
-}
-
 // WithdrawalOrder returns the seed-pinned random order in which an outage
 // sweep withdraws a fleet of n sensor blocks: withdrawing a fraction f
 // takes the order's first ⌈f·n⌉ entries, so a larger fraction withdraws a
@@ -317,8 +264,6 @@ type Reporter struct {
 	r       *rng.Xoshiro
 	now     float64
 	queue   []report
-	dupes   uint64
-	total   uint64
 }
 
 // NewReporter wraps deliver with the plan's reporting faults. It returns
@@ -339,10 +284,8 @@ func (p *Plan) NewReporter(deliver func(src, dst ipv4.Addr)) *Reporter {
 
 // Report queues one observation made at the reporter's current time.
 func (rep *Reporter) Report(src, dst ipv4.Addr) {
-	rep.total++
 	n := 1
 	if rep.dup > 0 && rep.r.Bernoulli(rep.dup) {
-		rep.dupes++
 		n = 2
 	}
 	for i := 0; i < n; i++ {
@@ -385,13 +328,3 @@ func (rep *Reporter) Flush() {
 	}
 	rep.queue = rep.queue[:0]
 }
-
-// Pending returns the number of queued, undelivered reports.
-func (rep *Reporter) Pending() int { return len(rep.queue) }
-
-// Duplicated returns how many observations were duplicated.
-func (rep *Reporter) Duplicated() uint64 { return rep.dupes }
-
-// Observed returns how many observations were reported (before
-// duplication).
-func (rep *Reporter) Observed() uint64 { return rep.total }

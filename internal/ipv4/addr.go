@@ -92,9 +92,6 @@ func (a Addr) Slash16() uint32 { return uint32(a) >> 16 }
 // (0 .. 2^24-1, i.e. the top three octets).
 func (a Addr) Slash24() uint32 { return uint32(a) >> 8 }
 
-// SameSlash8 reports whether a and b share the same /8 network.
-func (a Addr) SameSlash8(b Addr) bool { return a.Slash8() == b.Slash8() }
-
 // SameSlash16 reports whether a and b share the same /16 network.
 func (a Addr) SameSlash16(b Addr) bool { return a.Slash16() == b.Slash16() }
 
@@ -114,9 +111,6 @@ func (a Addr) IsPrivate() bool {
 
 // IsLoopback reports whether a falls inside 127.0.0.0/8.
 func (a Addr) IsLoopback() bool { return uint32(a)>>24 == 127 }
-
-// IsMulticast reports whether a falls inside 224.0.0.0/4.
-func (a Addr) IsMulticast() bool { return uint32(a)>>28 == 0xe }
 
 // IsReserved reports whether a is in space a worm probe would never
 // productively target: 0.0.0.0/8, loopback, multicast, or 240.0.0.0/4.

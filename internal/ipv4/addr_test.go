@@ -73,9 +73,6 @@ func TestSlashIndexes(t *testing.T) {
 	if got := a.Slash24(); got != 10<<16|20<<8|30 {
 		t.Errorf("Slash24() = %d, want %d", got, 10<<16|20<<8|30)
 	}
-	if !a.SameSlash8(MustParseAddr("10.99.99.99")) {
-		t.Error("SameSlash8 should match within 10/8")
-	}
 	if a.SameSlash16(MustParseAddr("10.21.0.0")) {
 		t.Error("SameSlash16 should not match across /16s")
 	}
@@ -83,11 +80,10 @@ func TestSlashIndexes(t *testing.T) {
 
 func TestAddrClassification(t *testing.T) {
 	tests := []struct {
-		give      string
-		private   bool
-		loopback  bool
-		multicast bool
-		reserved  bool
+		give     string
+		private  bool
+		loopback bool
+		reserved bool
 	}{
 		{give: "10.1.2.3", private: true},
 		{give: "9.255.255.255"},
@@ -100,8 +96,8 @@ func TestAddrClassification(t *testing.T) {
 		{give: "192.167.255.255"},
 		{give: "192.169.0.0"},
 		{give: "127.0.0.1", loopback: true, reserved: true},
-		{give: "224.0.0.1", multicast: true, reserved: true},
-		{give: "239.255.255.255", multicast: true, reserved: true},
+		{give: "224.0.0.1", reserved: true},
+		{give: "239.255.255.255", reserved: true},
 		{give: "240.0.0.0", reserved: true},
 		{give: "0.1.2.3", reserved: true},
 		{give: "8.8.8.8"},
@@ -114,9 +110,6 @@ func TestAddrClassification(t *testing.T) {
 			}
 			if got := a.IsLoopback(); got != tt.loopback {
 				t.Errorf("IsLoopback() = %v, want %v", got, tt.loopback)
-			}
-			if got := a.IsMulticast(); got != tt.multicast {
-				t.Errorf("IsMulticast() = %v, want %v", got, tt.multicast)
 			}
 			if got := a.IsReserved(); got != tt.reserved {
 				t.Errorf("IsReserved() = %v, want %v", got, tt.reserved)

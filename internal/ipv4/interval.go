@@ -10,16 +10,8 @@ type Interval struct {
 	Lo, Hi Addr
 }
 
-// Contains reports whether a lies inside iv.
-func (iv Interval) Contains(a Addr) bool { return a >= iv.Lo && a <= iv.Hi }
-
 // Len returns the number of addresses in iv.
 func (iv Interval) Len() uint64 { return uint64(iv.Hi) - uint64(iv.Lo) + 1 }
-
-// Overlaps reports whether iv and other share any address.
-func (iv Interval) Overlaps(other Interval) bool {
-	return iv.Lo <= other.Hi && other.Lo <= iv.Hi
-}
 
 // Intersect returns the overlap of iv and other and whether it is non-empty.
 func (iv Interval) Intersect(other Interval) (Interval, bool) {
@@ -264,18 +256,6 @@ func (s *Set) IntersectInterval(iv Interval) uint64 {
 	return hiRank - s.Rank(iv.Lo)
 }
 
-// Union returns a new set containing every address of s or other.
-func (s *Set) Union(other *Set) *Set {
-	s.normalize()
-	other.normalize()
-	out := &Set{ivs: make([]Interval, 0, len(s.ivs)+len(other.ivs))}
-	out.ivs = append(out.ivs, s.ivs...)
-	out.ivs = append(out.ivs, other.ivs...)
-	out.dirty = true
-	out.normalize()
-	return out
-}
-
 // Intersect returns a new set containing every address present in both s
 // and other.
 func (s *Set) Intersect(other *Set) *Set {
@@ -326,29 +306,6 @@ func (s *Set) Subtract(other *Set) *Set {
 		}
 	}
 	out.normalize()
-	return out
-}
-
-// Equal reports whether s and other contain exactly the same addresses.
-func (s *Set) Equal(other *Set) bool {
-	s.normalize()
-	other.normalize()
-	if len(s.ivs) != len(other.ivs) {
-		return false
-	}
-	for i := range s.ivs {
-		if s.ivs[i] != other.ivs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone returns an independent copy of s.
-func (s *Set) Clone() *Set {
-	s.normalize()
-	out := &Set{ivs: make([]Interval, len(s.ivs)), size: s.size}
-	copy(out.ivs, s.ivs)
 	return out
 }
 

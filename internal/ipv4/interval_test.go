@@ -1,6 +1,7 @@
 package ipv4
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -10,17 +11,11 @@ import (
 
 func TestIntervalBasics(t *testing.T) {
 	iv := Interval{Lo: 10, Hi: 20}
-	if !iv.Contains(10) || !iv.Contains(20) || iv.Contains(9) || iv.Contains(21) {
-		t.Error("Contains bounds are wrong")
-	}
 	if got := iv.Len(); got != 11 {
 		t.Errorf("Len() = %d, want 11", got)
 	}
 	if got := (Interval{Lo: 0, Hi: MaxAddr}).Len(); got != 1<<32 {
 		t.Errorf("full-space Len() = %d, want 2^32", got)
-	}
-	if !iv.Overlaps(Interval{Lo: 20, Hi: 30}) || iv.Overlaps(Interval{Lo: 21, Hi: 30}) {
-		t.Error("Overlaps adjacency is wrong")
 	}
 	got, ok := iv.Intersect(Interval{Lo: 15, Hi: 40})
 	if !ok || got != (Interval{Lo: 15, Hi: 20}) {
@@ -127,15 +122,11 @@ func TestSetAlgebraAgainstOracle(t *testing.T) {
 		a, refA := randomSmallSet(r)
 		b, refB := randomSmallSet(r)
 
-		union := a.Union(b)
 		inter := a.Intersect(b)
 		diff := a.Subtract(b)
 
 		for addr := Addr(0); addr < 96; addr++ {
 			inA, inB := refA[addr], refB[addr]
-			if got, want := union.Contains(addr), inA || inB; got != want {
-				t.Fatalf("trial %d: union.Contains(%d) = %v, want %v (a=%v b=%v)", trial, addr, got, want, a, b)
-			}
 			if got, want := inter.Contains(addr), inA && inB; got != want {
 				t.Fatalf("trial %d: inter.Contains(%d) = %v, want %v (a=%v b=%v)", trial, addr, got, want, a, b)
 			}
@@ -145,15 +136,19 @@ func TestSetAlgebraAgainstOracle(t *testing.T) {
 		}
 
 		// Size is consistent with membership.
-		var wantUnion uint64
+		var wantInter, wantDiff uint64
 		for addr := range refA {
-			if !refB[addr] {
-				wantUnion++
+			if refB[addr] {
+				wantInter++
+			} else {
+				wantDiff++
 			}
 		}
-		wantUnion += uint64(len(refB))
-		if got := union.Size(); got != wantUnion {
-			t.Fatalf("trial %d: union.Size() = %d, want %d", trial, got, wantUnion)
+		if got := inter.Size(); got != wantInter {
+			t.Fatalf("trial %d: inter.Size() = %d, want %d", trial, got, wantInter)
+		}
+		if got := diff.Size(); got != wantDiff {
+			t.Fatalf("trial %d: diff.Size() = %d, want %d", trial, got, wantDiff)
 		}
 	}
 }
@@ -207,20 +202,8 @@ func TestSetSubtractEdgeCases(t *testing.T) {
 	}
 
 	// Subtracting the empty set is the identity.
-	if got := hole.Subtract(&Set{}); !got.Equal(hole) {
+	if got := hole.Subtract(&Set{}); !slices.Equal(got.Intervals(), hole.Intervals()) {
 		t.Errorf("subtract empty = %v, want %v", got, hole)
-	}
-}
-
-func TestSetCloneIsIndependent(t *testing.T) {
-	a := NewSet(Interval{Lo: 1, Hi: 5})
-	b := a.Clone()
-	b.AddAddr(100)
-	if a.Contains(100) {
-		t.Error("mutating a clone affected the original")
-	}
-	if !b.Contains(100) || !b.Contains(3) {
-		t.Error("clone lost members")
 	}
 }
 
@@ -278,7 +261,7 @@ func TestSetContainsFrozenMatchesScan(t *testing.T) {
 			}
 			scan := func(a Addr) bool {
 				for _, iv := range all {
-					if iv.Contains(a) {
+					if a >= iv.Lo && a <= iv.Hi {
 						return true
 					}
 				}

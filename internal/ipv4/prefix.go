@@ -73,16 +73,6 @@ func (p Prefix) Last() Addr { return p.addr | ^maskFor(int(p.bits)) }
 // Contains reports whether a lies inside p.
 func (p Prefix) Contains(a Addr) bool { return a&maskFor(int(p.bits)) == p.addr }
 
-// Overlaps reports whether p and q share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	return p.Contains(q.addr) || q.Contains(p.addr)
-}
-
-// ContainsPrefix reports whether q lies entirely inside p.
-func (p Prefix) ContainsPrefix(q Prefix) bool {
-	return p.bits <= q.bits && p.Contains(q.addr)
-}
-
 // Nth returns the i-th address in p, counting from the network address.
 // It panics if i is out of range; callers index with values < NumAddrs.
 func (p Prefix) Nth(i uint64) Addr {

@@ -73,29 +73,6 @@ func TestPrefixWholeSpace(t *testing.T) {
 	}
 }
 
-func TestPrefixOverlapsAndContainsPrefix(t *testing.T) {
-	tests := []struct {
-		a, b       string
-		overlaps   bool
-		aContainsB bool
-	}{
-		{a: "10.0.0.0/8", b: "10.1.0.0/16", overlaps: true, aContainsB: true},
-		{a: "10.1.0.0/16", b: "10.0.0.0/8", overlaps: true},
-		{a: "10.0.0.0/8", b: "11.0.0.0/8", overlaps: false},
-		{a: "0.0.0.0/0", b: "200.1.2.0/24", overlaps: true, aContainsB: true},
-		{a: "10.0.0.0/24", b: "10.0.0.0/24", overlaps: true, aContainsB: true},
-	}
-	for _, tt := range tests {
-		a, b := MustParsePrefix(tt.a), MustParsePrefix(tt.b)
-		if got := a.Overlaps(b); got != tt.overlaps {
-			t.Errorf("%v.Overlaps(%v) = %v, want %v", a, b, got, tt.overlaps)
-		}
-		if got := a.ContainsPrefix(b); got != tt.aContainsB {
-			t.Errorf("%v.ContainsPrefix(%v) = %v, want %v", a, b, got, tt.aContainsB)
-		}
-	}
-}
-
 func TestPrefixSlash24s(t *testing.T) {
 	tests := []struct {
 		give string

@@ -336,7 +336,7 @@ func (g *CallGraph) Lookup(rel, name string) []*FuncNode {
 
 // ReachableFrom walks the graph forward from roots and returns, for every
 // reachable node, the edge-parent it was discovered through (roots map to
-// a nil parent). Use Path to render a call chain.
+// a nil parent).
 func (g *CallGraph) ReachableFrom(roots []*FuncNode) map[*FuncNode]*FuncNode {
 	parent := make(map[*FuncNode]*FuncNode)
 	queue := make([]*FuncNode, 0, len(roots))
@@ -359,22 +359,6 @@ func (g *CallGraph) ReachableFrom(roots []*FuncNode) map[*FuncNode]*FuncNode {
 		}
 	}
 	return parent
-}
-
-// Path renders the discovery chain from a root to n, given ReachableFrom's
-// parent map: "root → f → g".
-func Path(parent map[*FuncNode]*FuncNode, n *FuncNode) string {
-	var names []string
-	for at := n; at != nil; at = parent[at] {
-		names = append(names, at.Name())
-		if parent[at] == nil {
-			break
-		}
-	}
-	for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
-		names[i], names[j] = names[j], names[i]
-	}
-	return strings.Join(names, " → ")
 }
 
 // sortedNodes returns the graph's nodes ordered by Name.

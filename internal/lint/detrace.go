@@ -42,8 +42,8 @@ type Root struct{ Rel, Name string }
 // DeTraceRoots are the determinism-contract entry points: every byte of
 // their output must be a pure function of configuration and seed. They
 // cover both drivers, the sweep pool, the oracle harness, every paper
-// experiment (Run and RunObserved reach each runner through Registry's
-// map of function values) and hotspotd's one-shot result bytes.
+// experiment (RunObserved reaches each runner through Registry's map of
+// function values) and hotspotd's one-shot result bytes.
 var DeTraceRoots = []Root{
 	{"internal/sim", "RunExact"},
 	{"internal/sim", "RunFast"},
@@ -54,7 +54,6 @@ var DeTraceRoots = []Root{
 	{"internal/xcheck", "CheckScenario"},
 	{"internal/xcheck", "Shrink"},
 	{"internal/xcheck", "RunScenario"},
-	{"internal/experiments", "Run"},
 	{"internal/experiments", "RunObserved"},
 	{"internal/serve", "OneShot"},
 }

@@ -21,19 +21,6 @@ func RunObserved(id string, seed uint64) int64 {
 	return Registry()[id](seed)
 }
 
-// Run is a root of its own: here it also reaches a runner that
-// RunObserved does not.
-func Run(id string, seed uint64) int64 {
-	if id == "table1" {
-		return runTable1(seed)
-	}
-	return RunObserved(id, seed)
-}
-
-func runTable1(seed uint64) int64 {
-	return int64(seed) - time.Now().Unix() // want "taints determinism root internal/experiments.Run (internal/experiments.Run → internal/experiments.runTable1)"
-}
-
 func runFig2(seed uint64) int64 {
 	return int64(seed) + time.Now().UnixNano() // want "taints determinism root internal/experiments.RunObserved (internal/experiments.RunObserved → internal/experiments.Registry → internal/experiments.runFig2)"
 }

@@ -3,13 +3,13 @@
 // and its target that bias propagation independently of the worm's own
 // algorithm.
 //
-// Three factor classes are implemented:
+// Two factor classes are implemented, plus NAT:
 //
-//   - Routing and filtering policy: egress filters (enterprise firewalls
-//     dropping outbound worm probes — Table 2) and ingress/upstream filters
-//     (a provider blocking worm traffic toward a customer block — the reason
-//     the paper's M sensor saw zero Slammer probes).
-//   - Network failures and misconfiguration: a uniform probe-loss rate.
+//   - Filtering policy: egress filters (enterprise firewalls dropping
+//     outbound worm probes — Table 2). Ingress filtering is not modelled
+//     here; the Figure 2 experiment models the M block's upstream filter
+//     on its own.
+//   - Network failures: a uniform probe-loss rate.
 //   - Topology: NAT reachability semantics for hosts with RFC 1918
 //     addresses (Section 5.3) — private hosts are reachable only from their
 //     own site, while their outbound probes flow freely.
@@ -36,35 +36,18 @@ type FilterRule struct {
 // The zero value is a perfectly transparent network. Not safe for
 // concurrent mutation.
 type Environment struct {
-	egress  []FilterRule
-	ingress []FilterRule
+	egress []FilterRule
 
-	// EgressPolicy and IngressPolicy, when non-nil, are longest-prefix-
-	// match tables applied in addition to the flat rules: the most
-	// specific rule covering the source (egress) or destination (ingress)
-	// decides, so specific allows can punch holes in broad blocks.
-	EgressPolicy  *PolicyTable
-	IngressPolicy *PolicyTable
-
-	// LossRate is the probability an arbitrary probe is lost to failures,
-	// congestion, or misconfiguration. Prefer NewEnvironment or SetLossRate,
-	// which validate the value; a NaN or out-of-range rate written directly
-	// makes Bernoulli draws silently meaningless.
+	// LossRate is the probability an arbitrary probe is lost to failures
+	// or congestion. Prefer SetLossRate, which validates the value; a NaN
+	// or out-of-range rate written directly makes Bernoulli draws silently
+	// meaningless.
 	LossRate float64
 }
 
-// NewEnvironment returns a transparent environment with the given loss
-// rate, rejecting NaN and values outside [0,1]. Both boundaries are legal:
-// 0 is a lossless network, 1 loses everything.
-func NewEnvironment(lossRate float64) (*Environment, error) {
-	e := &Environment{}
-	if err := e.SetLossRate(lossRate); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// SetLossRate validates and sets the uniform loss rate.
+// SetLossRate validates and sets the uniform loss rate, rejecting NaN and
+// values outside [0,1]. Both boundaries are legal: 0 is a lossless
+// network, 1 loses everything.
 func (e *Environment) SetLossRate(rate float64) error {
 	if math.IsNaN(rate) || rate < 0 || rate > 1 {
 		return fmt.Errorf("netenv: loss rate %v outside [0,1]", rate)
@@ -79,67 +62,27 @@ func (e *Environment) AddEgressFilter(prefix ipv4.Prefix, drop float64) {
 	sortRules(e.egress)
 }
 
-// AddIngressFilter drops probes destined inside prefix (upstream/provider
-// filtering, like the policy that blinded the M block to Slammer).
-func (e *Environment) AddIngressFilter(prefix ipv4.Prefix, drop float64) {
-	e.ingress = append(e.ingress, FilterRule{Prefix: prefix, Drop: drop})
-	sortRules(e.ingress)
-}
-
 func sortRules(rules []FilterRule) {
 	sort.Slice(rules, func(i, j int) bool {
 		return rules[i].Prefix.First() < rules[j].Prefix.First()
 	})
 }
 
-// Delivered reports whether a probe from src to dst survives the
-// environment: egress policy at the source, ingress policy at the
-// destination, and random loss. r drives the stochastic drops; determinism
-// comes from the caller's seeded generator.
-func (e *Environment) Delivered(src, dst ipv4.Addr, r *rng.Xoshiro) bool {
-	if e.LossRate > 0 && r.Bernoulli(e.LossRate) {
-		return false
-	}
-	for _, rule := range e.egress {
-		if rule.Prefix.Contains(src) && r.Bernoulli(rule.Drop) {
-			return false
-		}
-	}
-	for _, rule := range e.ingress {
-		if rule.Prefix.Contains(dst) && r.Bernoulli(rule.Drop) {
-			return false
-		}
-	}
-	if e.EgressPolicy != nil && r.Bernoulli(e.EgressPolicy.DropProbability(src)) {
-		return false
-	}
-	if e.IngressPolicy != nil && r.Bernoulli(e.IngressPolicy.DropProbability(dst)) {
-		return false
-	}
-	return true
-}
-
 // SourceView is the environment as seen from one fixed source address:
-// every source-dependent factor (uniform loss, egress rules, egress
-// policy) folded into a single survival probability, with only the
-// destination-dependent factors left to evaluate per probe. The exact
-// driver compiles one view per infected host at infection time and reuses
-// it for every probe the host ever sends.
-//
-// A view is an immutable value over an environment that must not be
-// mutated while in use; it is safe for concurrent Delivered calls as long
-// as each goroutine supplies its own generator.
+// every factor (uniform loss and the egress rules matching the source)
+// folded into a single survival probability. The exact driver compiles one
+// view per infected host at infection time and reuses it for every probe
+// the host ever sends.
 type SourceView struct {
-	env *Environment
-	// keep is the probability a probe survives the uniform loss rate, all
-	// egress rules matching the source, and the egress policy — the
-	// product of the individual survival probabilities, so one Bernoulli
-	// draw is distributionally equivalent to the per-factor sequence.
+	// keep is the probability a probe survives the uniform loss rate and
+	// all egress rules matching the source — the product of the individual
+	// survival probabilities, so one Bernoulli draw is distributionally
+	// equivalent to the per-factor sequence.
 	keep float64
 }
 
-// CompileSource folds the environment's source-dependent factors for src
-// into a SourceView.
+// CompileSource folds the environment's factors for src into a
+// SourceView.
 func (e *Environment) CompileSource(src ipv4.Addr) SourceView {
 	keep := 1 - e.LossRate
 	for _, rule := range e.egress {
@@ -147,43 +90,15 @@ func (e *Environment) CompileSource(src ipv4.Addr) SourceView {
 			keep *= 1 - rule.Drop
 		}
 	}
-	if e.EgressPolicy != nil {
-		keep *= 1 - e.EgressPolicy.DropProbability(src)
-	}
-	return SourceView{env: e, keep: keep}
+	return SourceView{keep: keep}
 }
 
-// Delivered reports whether a probe from the view's source to dst
-// survives the environment. It consumes at most one draw for the folded
-// source-side factors plus one draw per matching ingress rule, exactly
-// like Environment.Delivered does for the destination side. r stays a
-// concrete *rng.Xoshiro (not an interface) so the call neither escapes
-// nor allocates on the driver's per-probe hot path.
-func (v SourceView) Delivered(dst ipv4.Addr, r *rng.Xoshiro) bool {
-	if !r.Bernoulli(v.keep) {
-		return false
-	}
-	for _, rule := range v.env.ingress {
-		if rule.Prefix.Contains(dst) && r.Bernoulli(rule.Drop) {
-			return false
-		}
-	}
-	if v.env.IngressPolicy != nil && r.Bernoulli(v.env.IngressPolicy.DropProbability(dst)) {
-		return false
-	}
-	return true
-}
-
-// BlocksDeterministically reports whether dst is inside a hard (Drop == 1)
-// ingress filter — useful for analytic fast paths that must not consume
-// randomness.
-func (e *Environment) BlocksDeterministically(dst ipv4.Addr) bool {
-	for _, rule := range e.ingress {
-		if rule.Drop >= 1 && rule.Prefix.Contains(dst) {
-			return true
-		}
-	}
-	return e.IngressPolicy != nil && e.IngressPolicy.DropProbability(dst) >= 1
+// Delivered reports whether a probe from the view's source survives the
+// environment. It consumes at most one draw. r stays a concrete
+// *rng.Xoshiro (not an interface) so the call neither escapes nor
+// allocates on the driver's per-probe hot path.
+func (v SourceView) Delivered(r *rng.Xoshiro) bool {
+	return r.Bernoulli(v.keep)
 }
 
 // CanReach implements NAT topology semantics between two population hosts:

@@ -13,31 +13,9 @@ func TestTransparentEnvironmentDeliversEverything(t *testing.T) {
 	var env Environment
 	r := rng.NewXoshiro(1)
 	for i := 0; i < 1000; i++ {
-		if !env.Delivered(ipv4.Addr(i), ipv4.Addr(i*7), r) {
+		if !env.CompileSource(ipv4.Addr(i)).Delivered(r) {
 			t.Fatal("transparent environment dropped a probe")
 		}
-	}
-}
-
-func TestHardIngressFilter(t *testing.T) {
-	var env Environment
-	blocked := ipv4.MustParsePrefix("192.52.92.0/22")
-	env.AddIngressFilter(blocked, 1.0)
-	r := rng.NewXoshiro(2)
-	for i := 0; i < 1000; i++ {
-		dst := blocked.Nth(uint64(i % 1024))
-		if env.Delivered(ipv4.MustParseAddr("1.2.3.4"), dst, r) {
-			t.Fatal("hard-blocked destination received a probe")
-		}
-	}
-	if !env.Delivered(ipv4.MustParseAddr("1.2.3.4"), ipv4.MustParseAddr("192.52.96.1"), r) {
-		t.Error("destination outside filter dropped")
-	}
-	if !env.BlocksDeterministically(blocked.Nth(5)) {
-		t.Error("BlocksDeterministically missed hard filter")
-	}
-	if env.BlocksDeterministically(ipv4.MustParseAddr("8.8.8.8")) {
-		t.Error("BlocksDeterministically false positive")
 	}
 }
 
@@ -49,7 +27,7 @@ func TestEgressFilterDropRate(t *testing.T) {
 	const n = 20000
 	var delivered int
 	for i := 0; i < n; i++ {
-		if env.Delivered(corp.Nth(uint64(i%4096)), ipv4.MustParseAddr("8.8.8.8"), r) {
+		if env.CompileSource(corp.Nth(uint64(i % 4096))).Delivered(r) {
 			delivered++
 		}
 	}
@@ -59,7 +37,7 @@ func TestEgressFilterDropRate(t *testing.T) {
 	}
 	// Sources outside the filter are untouched.
 	for i := 0; i < 100; i++ {
-		if !env.Delivered(ipv4.MustParseAddr("9.9.9.9"), ipv4.MustParseAddr("8.8.8.8"), r) {
+		if !env.CompileSource(ipv4.MustParseAddr("9.9.9.9")).Delivered(r) {
 			t.Fatal("unfiltered source dropped")
 		}
 	}
@@ -67,37 +45,18 @@ func TestEgressFilterDropRate(t *testing.T) {
 
 func TestLossRate(t *testing.T) {
 	env := Environment{LossRate: 0.25}
+	v := env.CompileSource(1)
 	r := rng.NewXoshiro(4)
 	const n = 40000
 	var delivered int
 	for i := 0; i < n; i++ {
-		if env.Delivered(1, 2, r) {
+		if v.Delivered(r) {
 			delivered++
 		}
 	}
 	frac := float64(delivered) / n
 	if frac < 0.73 || frac > 0.77 {
 		t.Errorf("delivery under 25%% loss = %.3f, want ≈0.75", frac)
-	}
-}
-
-func TestSoftIngressPartialDrop(t *testing.T) {
-	var env Environment
-	env.AddIngressFilter(ipv4.MustParsePrefix("10.0.0.0/8"), 0.5)
-	if env.BlocksDeterministically(ipv4.MustParseAddr("10.1.1.1")) {
-		t.Error("soft filter reported as deterministic block")
-	}
-	r := rng.NewXoshiro(5)
-	var delivered int
-	const n = 20000
-	for i := 0; i < n; i++ {
-		if env.Delivered(1, ipv4.MustParseAddr("10.1.1.1"), r) {
-			delivered++
-		}
-	}
-	frac := float64(delivered) / n
-	if frac < 0.47 || frac > 0.53 {
-		t.Errorf("delivery through 0.5 filter = %.3f, want ≈0.5", frac)
 	}
 }
 
@@ -166,39 +125,6 @@ func TestSynthesizeOrgs(t *testing.T) {
 	}
 }
 
-func TestApplyEgressPolicies(t *testing.T) {
-	orgs := SynthesizeOrgs(DefaultOrgModel(2))
-	var env Environment
-	ApplyEgressPolicies(&env, orgs)
-	r := rng.NewXoshiro(3)
-
-	var entSrc, ispSrc ipv4.Addr
-	for _, o := range orgs {
-		if o.Kind == Enterprise && entSrc == 0 {
-			entSrc = o.Prefixes[0].Nth(77)
-		}
-		if o.Kind == BroadbandISP && ispSrc == 0 {
-			ispSrc = o.Prefixes[0].Nth(77)
-		}
-	}
-	var entOut, ispOut int
-	const n = 5000
-	for i := 0; i < n; i++ {
-		if env.Delivered(entSrc, 8, r) {
-			entOut++
-		}
-		if env.Delivered(ispSrc, 8, r) {
-			ispOut++
-		}
-	}
-	if entOut > n/100 {
-		t.Errorf("enterprise leaked %d/%d probes, want ≈0.1%%", entOut, n)
-	}
-	if ispOut != n {
-		t.Errorf("ISP delivered %d/%d probes, want all", ispOut, n)
-	}
-}
-
 func TestOrgKindString(t *testing.T) {
 	if Enterprise.String() != "enterprise" || BroadbandISP.String() != "broadband-isp" {
 		t.Error("kind names wrong")
@@ -211,34 +137,26 @@ func TestOrgKindString(t *testing.T) {
 func TestLossRateValidation(t *testing.T) {
 	// Both boundaries are legal configurations.
 	for _, ok := range []float64{0, 1, 0.5} {
-		env, err := NewEnvironment(ok)
-		if err != nil || env == nil {
-			t.Errorf("NewEnvironment(%v) rejected: %v", ok, err)
+		var env Environment
+		if err := env.SetLossRate(ok); err != nil || env.LossRate != ok {
+			t.Errorf("SetLossRate(%v) failed: %v (rate %v)", ok, err, env.LossRate)
 		}
 	}
 	for _, bad := range []float64{math.NaN(), -0.001, 1.001, math.Inf(1), math.Inf(-1)} {
-		if _, err := NewEnvironment(bad); err == nil {
-			t.Errorf("NewEnvironment(%v) accepted", bad)
+		var env Environment
+		if err := env.SetLossRate(bad); err == nil {
+			t.Errorf("SetLossRate(%v) accepted", bad)
 		}
 	}
 	// Boundary semantics: 0 delivers everything, 1 delivers nothing.
 	r := rng.NewXoshiro(1)
-	lossless, _ := NewEnvironment(0)
-	total, _ := NewEnvironment(1)
+	lossless, total := Environment{LossRate: 0}, Environment{LossRate: 1}
 	for i := 0; i < 1000; i++ {
-		if !lossless.Delivered(1, 2, r) {
+		if !lossless.CompileSource(1).Delivered(r) {
 			t.Fatal("loss rate 0 dropped a probe")
 		}
-		if total.Delivered(1, 2, r) {
+		if total.CompileSource(1).Delivered(r) {
 			t.Fatal("loss rate 1 delivered a probe")
 		}
-	}
-	// SetLossRate on an existing environment validates the same way.
-	env := &Environment{}
-	if err := env.SetLossRate(math.NaN()); err == nil {
-		t.Error("SetLossRate(NaN) accepted")
-	}
-	if err := env.SetLossRate(0.25); err != nil || env.LossRate != 0.25 {
-		t.Errorf("SetLossRate(0.25) failed: %v (rate %v)", err, env.LossRate)
 	}
 }

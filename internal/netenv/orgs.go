@@ -55,11 +55,6 @@ func (o Org) TotalAddrs() uint64 {
 	return n
 }
 
-// AddrSet returns the org's allocation as a set.
-func (o Org) AddrSet() *ipv4.Set {
-	return ipv4.SetOfPrefixes(o.Prefixes...)
-}
-
 // OrgModelConfig parameterizes the synthetic Table 2 universe.
 type OrgModelConfig struct {
 	// Enterprises and ISPs to generate.
@@ -143,16 +138,4 @@ func SynthesizeOrgs(cfg OrgModelConfig) []Org {
 		})
 	}
 	return orgs
-}
-
-// ApplyEgressPolicies installs each org's egress posture into env.
-func ApplyEgressPolicies(env *Environment, orgs []Org) {
-	for _, o := range orgs {
-		if o.EgressDrop <= 0 {
-			continue
-		}
-		for _, p := range o.Prefixes {
-			env.AddEgressFilter(p, o.EgressDrop)
-		}
-	}
 }

@@ -167,18 +167,3 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	}
 	return out
 }
-
-// LinearBuckets returns n upper bounds starting at start with the given
-// step: LinearBuckets(10, 10, 3) → [10, 20, 30].
-func LinearBuckets(start, step float64, n int) []float64 {
-	if step <= 0 || n < 1 {
-		panic("obs: LinearBuckets needs step>0, n>=1")
-	}
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v += step
-	}
-	return out
-}

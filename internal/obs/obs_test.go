@@ -326,13 +326,6 @@ func TestBucketHelpers(t *testing.T) {
 			t.Fatalf("ExpBuckets = %v", exp)
 		}
 	}
-	lin := LinearBuckets(10, 10, 3)
-	wantLin := []float64{10, 20, 30}
-	for i := range wantLin {
-		if math.Abs(lin[i]-wantLin[i]) > 1e-9 {
-			t.Fatalf("LinearBuckets = %v", lin)
-		}
-	}
 }
 
 // TestExpBucketsEdges covers the degenerate shapes callers actually build:

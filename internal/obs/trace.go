@@ -1,35 +1,16 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-	"sync"
-)
-
 // SpanBuckets are the default duration buckets for span histograms,
 // spanning 1ms to ~3h in decades (seconds).
 var SpanBuckets = ExpBuckets(0.001, 10, 8)
 
-// SpanRecord is one completed span in Clock seconds.
-type SpanRecord struct {
-	Name  string  `json:"name"`
-	Start float64 `json:"start"`
-	End   float64 `json:"end"`
-}
-
-// Duration returns End-Start.
-func (s SpanRecord) Duration() float64 { return s.End - s.Start }
-
-// Tracer records named spans against an injected Clock. When constructed
-// with a registry, every completed span also lands in the
+// Tracer times named spans against an injected Clock. When constructed
+// with a registry, every completed span lands in the
 // obs_span_seconds{name=…} histogram. Safe for concurrent use; all
 // methods no-op on a nil receiver.
 type Tracer struct {
 	clock Clock
 	reg   *Registry
-
-	mu    sync.Mutex
-	spans []SpanRecord
 }
 
 // NewTracer returns a tracer reading time from clock (nil means a clock
@@ -58,38 +39,11 @@ type Span struct {
 	start float64
 }
 
-// End closes the span, recording it on the tracer (and the registry's
-// span histogram, when configured). Calling End on a nil span is a no-op.
+// End closes the span, observing its duration in the registry's span
+// histogram when configured. Calling End on a nil span is a no-op.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	rec := SpanRecord{Name: s.name, Start: s.start, End: s.t.clock.Seconds()}
-	s.t.mu.Lock()
-	s.t.spans = append(s.t.spans, rec)
-	s.t.mu.Unlock()
-	s.t.reg.Histogram("obs_span_seconds", SpanBuckets, "name", s.name).Observe(rec.Duration())
-}
-
-// Records returns a copy of the completed spans in completion order.
-func (t *Tracer) Records() []SpanRecord {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SpanRecord, len(t.spans))
-	copy(out, t.spans)
-	return out
-}
-
-// WriteJSON writes the completed spans as a JSON array.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	recs := t.Records()
-	if recs == nil {
-		recs = []SpanRecord{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(recs)
+	s.t.reg.Histogram("obs_span_seconds", SpanBuckets, "name", s.name).Observe(s.t.clock.Seconds() - s.start)
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -17,58 +16,30 @@ func TestTracerRecordsSimTime(t *testing.T) {
 	clock.Set(250)
 	sp.End()
 
-	recs := tr.Records()
-	if len(recs) != 1 {
-		t.Fatalf("got %d records, want 1", len(recs))
-	}
-	r := recs[0]
-	if r.Name != "experiment/fig5c" || r.Start != 10 || r.End != 250 {
-		t.Fatalf("record = %+v", r)
-	}
-	if d := r.Duration(); d != 240 {
-		t.Fatalf("duration = %v, want 240", d)
-	}
 	h := reg.Histogram("obs_span_seconds", nil, "name", "experiment/fig5c")
 	if h.Count() != 1 {
 		t.Fatalf("span histogram count = %d, want 1", h.Count())
+	}
+	if d := h.Sum(); d != 240 {
+		t.Fatalf("span duration = %v, want 240", d)
 	}
 }
 
 func TestNilTracerAndSpanAreSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Start("x").End() // must not panic
-	if tr.Records() != nil {
-		t.Fatal("nil tracer must return nil records")
-	}
-	// A tracer with no clock and no registry still works, pinned at 0.
-	tr2 := NewTracer(nil, nil)
-	tr2.Start("y").End()
-	if len(tr2.Records()) != 1 {
-		t.Fatal("clockless tracer lost its span")
-	}
-}
-
-func TestTracerWriteJSON(t *testing.T) {
-	clock := &SimClock{}
-	tr := NewTracer(clock, nil)
-	clock.Set(1)
-	sp := tr.Start("a")
-	clock.Set(3)
-	sp.End()
-	var b strings.Builder
-	if err := tr.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"name": "a"`, `"start": 1`, `"end": 3`} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("JSON missing %q:\n%s", want, b.String())
-		}
+	// A tracer with no registry still works.
+	NewTracer(nil, nil).Start("x").End()
+	// A tracer with no clock is pinned at 0.
+	reg := NewRegistry()
+	NewTracer(nil, reg).Start("y").End()
+	if h := reg.Histogram("obs_span_seconds", nil, "name", "y"); h.Count() != 1 || h.Sum() != 0 {
+		t.Fatalf("clockless span: count %d, sum %v; want 1, 0", h.Count(), h.Sum())
 	}
 }
 
 // TestTracerConcurrentSpans hammers Start/End from many goroutines against
-// a frozen SimClock: no record may be lost or torn, and the span histogram
-// must agree with the record count. This is the guarantee that lets sweep
+// a frozen SimClock: no span may be lost or torn in the span histogram. This is the guarantee that lets sweep
 // workers share one CLI tracer without coordination.
 func TestTracerConcurrentSpans(t *testing.T) {
 	clock := &SimClock{}
@@ -92,38 +63,16 @@ func TestTracerConcurrentSpans(t *testing.T) {
 	}
 	wg.Wait()
 
-	recs := tr.Records()
-	if len(recs) != workers*perWorker {
-		t.Fatalf("got %d records, want %d", len(recs), workers*perWorker)
-	}
-	perName := make(map[string]int)
-	for _, r := range recs {
-		// The clock is frozen, so every record is exactly (42, 42); any
-		// other value means a torn read or a lost write.
-		if r.Start != 42 || r.End != 42 || r.Duration() != 0 {
-			t.Fatalf("torn record %+v", r)
-		}
-		perName[r.Name]++
-	}
-	var histTotal uint64
 	for w := 0; w < workers; w++ {
 		name := fmt.Sprintf("worker/%d", w)
-		if perName[name] != perWorker {
-			t.Errorf("%s: %d records, want %d", name, perName[name], perWorker)
+		h := reg.Histogram("obs_span_seconds", nil, "name", name)
+		if h.Count() != perWorker {
+			t.Errorf("%s: %d spans, want %d", name, h.Count(), perWorker)
 		}
-		histTotal += reg.Histogram("obs_span_seconds", nil, "name", name).Count()
-	}
-	if histTotal != workers*perWorker {
-		t.Errorf("span histogram total %d, want %d", histTotal, workers*perWorker)
-	}
-
-	// The snapshot must serialize after the stampede like after any quiet
-	// sequence of spans.
-	var b strings.Builder
-	if err := tr.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "worker/0") {
-		t.Error("WriteJSON lost span names")
+		// The clock is frozen, so every span lasts exactly 0; any other
+		// total means a torn read.
+		if h.Sum() != 0 {
+			t.Errorf("%s: span durations sum to %v, want 0", name, h.Sum())
+		}
 	}
 }

@@ -180,16 +180,3 @@ func (e *Earlybird) evictIfFull() {
 
 // Alarms returns the number of distinct alarmed fingerprints.
 func (e *Earlybird) Alarms() int { return len(e.alarms) }
-
-// Alarmed reports whether fp has alarmed.
-func (e *Earlybird) Alarmed(fp Fingerprint) bool { return e.alarms[fp] }
-
-// Tracked returns the number of fingerprints currently tracked.
-func (e *Earlybird) Tracked() int { return len(e.entries) }
-
-// Reset clears all state.
-func (e *Earlybird) Reset() {
-	e.entries = make(map[Fingerprint]*contentEntry)
-	e.order = nil
-	e.alarms = make(map[Fingerprint]bool)
-}

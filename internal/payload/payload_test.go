@@ -170,23 +170,8 @@ func TestEarlybirdEviction(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		eb.Observe(ipv4.Addr(i), ipv4.Addr(i), BenignPayload(uint64(i), 64))
 	}
-	if eb.Tracked() > 64 {
-		t.Errorf("tracked %d fingerprints, cap 64", eb.Tracked())
-	}
-}
-
-func TestEarlybirdReset(t *testing.T) {
-	eb, err := NewEarlybird(DefaultEarlybirdConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := DefaultWormPayload("x")
-	for i := 0; i < 100; i++ {
-		eb.Observe(ipv4.Addr(i), ipv4.Addr(i+1), w.Instance(uint64(i)))
-	}
-	eb.Reset()
-	if eb.Alarms() != 0 || eb.Tracked() != 0 {
-		t.Error("reset left state")
+	if len(eb.entries) > 64 {
+		t.Errorf("tracked %d fingerprints, cap 64", len(eb.entries))
 	}
 }
 

@@ -99,7 +99,7 @@ func checkCanonical(t *testing.T, p *Population) {
 	if !slices.Equal(pubOnly, all[:at]) {
 		t.Fatalf("Addrs(true) is not the %d-host public prefix", at)
 	}
-	for s := 0; s < p.Sites(); s++ {
+	for s := 0; s < p.sites; s++ {
 		region(s)
 	}
 	if at != p.Size() {
@@ -144,8 +144,8 @@ func TestCanonicalOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if p.Sites() != tc.sites {
-				t.Errorf("%d sites, want %d", p.Sites(), tc.sites)
+			if p.sites != tc.sites {
+				t.Errorf("%d sites, want %d", p.sites, tc.sites)
 			}
 			checkCanonical(t, p)
 		})

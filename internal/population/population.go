@@ -457,9 +457,6 @@ func (p *Population) Region(site int) (addrs []ipv4.Addr, lo int) {
 	return p.addrs[lo:hi:hi], lo
 }
 
-// Sites returns the number of NAT site ids issued.
-func (p *Population) Sites() int { return p.sites }
-
 // AssignNAT rehomes a fraction of hosts behind NATs: each chosen host gets a
 // fresh private address in 192.168.0.0/16 and a site id. Hosts are grouped
 // into sites of hostsPerSite (the tail site may be smaller); hostsPerSite
@@ -570,20 +567,6 @@ func (p *Population) histogram(key func(ipv4.Addr) uint32) []SlashCount {
 		return out[i].Network < out[j].Network
 	})
 	return out
-}
-
-// TopSlash8Share returns the fraction of hosts inside the k most-populated
-// /8s.
-func (p *Population) TopSlash8Share(k int) float64 {
-	hist := p.Slash8Histogram()
-	if k > len(hist) {
-		k = len(hist)
-	}
-	var top int
-	for _, sc := range hist[:k] {
-		top += sc.Count
-	}
-	return float64(top) / float64(len(p.addrs))
 }
 
 // TopSlash8s returns the k most-populated /8 networks.

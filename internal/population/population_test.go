@@ -44,7 +44,11 @@ func TestSynthesizeMatchesPaperStatistics(t *testing.T) {
 		t.Errorf("populated /16s = %d, want 4481", got)
 	}
 	// Top 20 /8s hold ≈94% of hosts.
-	if got := p.TopSlash8Share(20); got < 0.90 || got > 0.99 {
+	var top20 int
+	for _, sc := range p.Slash8Histogram()[:20] {
+		top20 += sc.Count
+	}
+	if got := float64(top20) / float64(len(p.addrs)); got < 0.90 || got > 0.99 {
 		t.Errorf("top-20 /8 share = %.3f, want ≈0.94", got)
 	}
 	// 192/8 is populated (required by the CRII experiments).
@@ -166,8 +170,8 @@ func TestAssignNAT(t *testing.T) {
 			t.Errorf("site %d has %d hosts, want ≤4", site, size)
 		}
 	}
-	if p.Sites() != len(siteSizes) {
-		t.Errorf("Sites() = %d, want %d", p.Sites(), len(siteSizes))
+	if p.sites != len(siteSizes) {
+		t.Errorf("Sites() = %d, want %d", p.sites, len(siteSizes))
 	}
 
 	// The index resolves a private address to every host sharing it.

@@ -29,13 +29,3 @@ func (l *LCG32) Next() uint32 {
 	l.state = l.state*l.A + l.B
 	return l.state
 }
-
-// State returns the current state without advancing.
-func (l *LCG32) State() uint32 { return l.state }
-
-// Seed resets the generator state.
-func (l *LCG32) Seed(seed uint32) { l.state = seed }
-
-// Step returns the successor of x under the generator's map without
-// touching internal state.
-func (l *LCG32) Step(x uint32) uint32 { return x*l.A + l.B }

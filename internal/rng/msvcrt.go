@@ -27,14 +27,8 @@ func NewMSVCRT(seed uint32) *MSVCRT {
 	return &MSVCRT{state: seed}
 }
 
-// Srand reseeds the generator, matching srand().
-func (m *MSVCRT) Srand(seed uint32) { m.state = seed }
-
 // Rand returns the next value in [0, 32767], matching rand().
 func (m *MSVCRT) Rand() int {
 	m.state = m.state*MSVCRTMultiplier + MSVCRTIncrement
 	return int((m.state >> 16) & 0x7fff)
 }
-
-// State exposes the raw 32-bit internal state, used by cycle analysis.
-func (m *MSVCRT) State() uint32 { return m.state }

@@ -18,15 +18,6 @@ func TestMSVCRTKnownSequence(t *testing.T) {
 	}
 }
 
-func TestMSVCRTSrandResets(t *testing.T) {
-	m := NewMSVCRT(12345)
-	first := m.Rand()
-	m.Srand(12345)
-	if got := m.Rand(); got != first {
-		t.Errorf("after reseed rand() = %d, want %d", got, first)
-	}
-}
-
 func TestMSVCRTOutputRange(t *testing.T) {
 	f := func(seed uint32) bool {
 		m := NewMSVCRT(seed)
@@ -53,12 +44,6 @@ func TestLCG32MatchesStep(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			manual = manual*a + b
 			if l.Next() != manual {
-				return false
-			}
-			if l.State() != manual {
-				return false
-			}
-			if l.Step(seed) != seed*a+b {
 				return false
 			}
 		}
@@ -177,7 +162,7 @@ func TestLCGLowBitStructure(t *testing.T) {
 	// MSVCRT constants (odd multiplier, odd increment) the lowest bit
 	// simply alternates.
 	l := NewLCG32(MSVCRTMultiplier, MSVCRTIncrement, 12345)
-	prev := l.State() & 1
+	prev := l.state & 1
 	for i := 0; i < 64; i++ {
 		cur := l.Next() & 1
 		if cur == prev {
@@ -186,7 +171,7 @@ func TestLCGLowBitStructure(t *testing.T) {
 		prev = cur
 	}
 	// Low 4 bits: period divides 16.
-	l.Seed(999)
+	l = NewLCG32(MSVCRTMultiplier, MSVCRTIncrement, 999)
 	var seq []uint32
 	for i := 0; i < 32; i++ {
 		seq = append(seq, l.Next()&0xf)

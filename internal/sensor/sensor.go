@@ -60,16 +60,6 @@ func DefaultIMSBlocks() []Block {
 	}
 }
 
-// BlockByLabel finds a block by its label.
-func BlockByLabel(blocks []Block, label string) (Block, bool) {
-	for _, b := range blocks {
-		if b.Label == label {
-			return b, true
-		}
-	}
-	return Block{}, false
-}
-
 // Sensor records traffic observed at one darknet block. The zero value is
 // unusable; construct with NewSensor. Not safe for concurrent use.
 type Sensor struct {
@@ -84,11 +74,7 @@ type Sensor struct {
 	pairSeen map[uint64]struct{}
 	sources  map[uint32]struct{} // distinct sources block-wide
 	total    uint64
-	payloads uint64 // probes whose payload the sensor obtained
 	base24   uint32 // the block's first /24 index, precomputed for Observe
-
-	up     bool   // whether the sensor is in service (NewSensor starts up)
-	missed uint64 // in-block probes that arrived while down
 
 	trace    *trace.Recorder // see Trace; nil records nothing
 	traceClk obs.Clock
@@ -104,7 +90,6 @@ func NewSensor(block Block) *Sensor {
 		uniqPer:  make([]uint32, n),
 		pairSeen: make(map[uint64]struct{}),
 		sources:  make(map[uint32]struct{}),
-		up:       true,
 		base24:   block.Prefix.First().Slash24(),
 	}
 }
@@ -115,27 +100,10 @@ func (s *Sensor) Block() Block { return s.block }
 // Contains reports whether dst lands inside the sensor's block.
 func (s *Sensor) Contains(dst ipv4.Addr) bool { return s.block.Prefix.Contains(dst) }
 
-// SetUp puts the sensor in or out of service. A down sensor records
-// nothing: in-block probes only bump its missed counter, modelling a
-// withdrawn darknet block whose traffic still arrives but goes unheard.
-func (s *Sensor) SetUp(up bool) { s.up = up }
-
-// Up reports whether the sensor is in service.
-func (s *Sensor) Up() bool { return s.up }
-
-// Missed returns how many in-block probes arrived while the sensor was
-// down.
-func (s *Sensor) Missed() uint64 { return s.missed }
-
 // Observe records a probe from src to dst. It reports whether dst was
-// inside the block (and therefore recorded); a down sensor records
-// nothing and reports false.
+// inside the block (and therefore recorded).
 func (s *Sensor) Observe(src, dst ipv4.Addr) bool {
 	if !s.Contains(dst) {
-		return false
-	}
-	if !s.up {
-		s.missed++
 		return false
 	}
 	idx := s.slash24Index(dst)
@@ -188,15 +156,8 @@ func (s *Sensor) ObserveKind(src, dst ipv4.Addr, kind ProbeKind) (recorded, payl
 	if !s.Observe(src, dst) {
 		return false, false
 	}
-	if PayloadDelivered(kind, s.Mode) {
-		s.payloads++
-		return true, true
-	}
-	return true, false
+	return true, PayloadDelivered(kind, s.Mode)
 }
-
-// PayloadsObtained returns how many recorded probes yielded their payload.
-func (s *Sensor) PayloadsObtained() uint64 { return s.payloads }
 
 // TotalAttempts returns the number of probes recorded.
 func (s *Sensor) TotalAttempts() uint64 { return s.total }
@@ -229,8 +190,7 @@ func (s *Sensor) PerSlash24() []Slash24Stats {
 	return out
 }
 
-// Reset clears all recorded traffic (the missed counter included). The
-// up/down posture is configuration, not traffic, and survives a reset.
+// Reset clears all recorded traffic.
 func (s *Sensor) Reset() {
 	for i := range s.attempts {
 		s.attempts[i] = 0
@@ -242,8 +202,6 @@ func (s *Sensor) Reset() {
 	clear(s.pairSeen)
 	clear(s.sources)
 	s.total = 0
-	s.payloads = 0
-	s.missed = 0
 }
 
 // Fleet routes probes to the sensor owning the destination address.
@@ -320,37 +278,6 @@ func (f *Fleet) Trace(rec *trace.Recorder, clock obs.Clock) {
 	for _, s := range f.sensors {
 		s.Trace(rec, clock)
 	}
-}
-
-// SetUp puts the labelled sensor in or out of service; it reports whether
-// the label exists.
-func (f *Fleet) SetUp(label string, up bool) bool {
-	if s := f.Sensor(label); s != nil {
-		s.SetUp(up)
-		return true
-	}
-	return false
-}
-
-// NumUp returns how many sensors are in service.
-func (f *Fleet) NumUp() int {
-	n := 0
-	for _, s := range f.sensors {
-		if s.up {
-			n++
-		}
-	}
-	return n
-}
-
-// Missed returns the fleet-wide count of probes that arrived at down
-// sensors.
-func (f *Fleet) Missed() uint64 {
-	var n uint64
-	for _, s := range f.sensors {
-		n += s.missed
-	}
-	return n
 }
 
 // CoverageSet returns the union of all monitored blocks as an address set.

@@ -22,14 +22,11 @@ func TestDefaultIMSBlocks(t *testing.T) {
 		}
 	}
 	// M must sit inside 192/8 but outside 192.168/16.
-	m, ok := BlockByLabel(blocks, "M")
-	if !ok {
-		t.Fatal("no M block")
-	}
+	m := blockNamed(t, blocks, "M")
 	if m.Prefix.First().Slash8() != 192 {
 		t.Errorf("M block at %v, want inside 192/8", m.Prefix)
 	}
-	if ipv4.MustParsePrefix("192.168.0.0/16").Overlaps(m.Prefix) {
+	if private := ipv4.MustParsePrefix("192.168.0.0/16"); private.Contains(m.Prefix.First()) || m.Prefix.Contains(private.First()) {
 		t.Errorf("M block %v overlaps private 192.168/16", m.Prefix)
 	}
 	// Non-overlapping overall (NewFleet enforces and errors otherwise).
@@ -168,7 +165,7 @@ func TestFleetCoverageSet(t *testing.T) {
 
 func TestFleetBoundaryRouting(t *testing.T) {
 	fleet := MustNewFleet(DefaultIMSBlocks())
-	d, _ := BlockByLabel(DefaultIMSBlocks(), "D")
+	d := blockNamed(t, DefaultIMSBlocks(), "D")
 	if !fleet.Observe(1, d.Prefix.First()) || !fleet.Observe(1, d.Prefix.Last()) {
 		t.Error("block boundary addresses not recorded")
 	}
@@ -177,106 +174,6 @@ func TestFleetBoundaryRouting(t *testing.T) {
 	}
 	if got := fleet.Sensor("D").TotalAttempts(); got != 2 {
 		t.Errorf("D attempts = %d, want 2", got)
-	}
-}
-
-// Partial-fleet behavior: sensors taken out of service must stop recording
-// without disturbing routing, payload accounting, or reset semantics.
-
-func TestSensorDownRecordsNothing(t *testing.T) {
-	s := NewSensor(Block{Label: "T", Prefix: ipv4.MustParsePrefix("10.0.0.0/24")})
-	if !s.Up() {
-		t.Fatal("new sensor not up")
-	}
-	dst := ipv4.MustParseAddr("10.0.0.5")
-	s.SetUp(false)
-	if s.Observe(1, dst) {
-		t.Error("down sensor recorded a probe")
-	}
-	if s.TotalAttempts() != 0 || s.UniqueSources() != 0 {
-		t.Error("down sensor accumulated traffic stats")
-	}
-	if got := s.Missed(); got != 1 {
-		t.Errorf("Missed = %d, want 1", got)
-	}
-	// Out-of-block probes are not "missed" — they were never the sensor's.
-	if s.Observe(1, ipv4.MustParseAddr("11.0.0.5")); s.Missed() != 1 {
-		t.Errorf("out-of-block probe counted as missed")
-	}
-	s.SetUp(true)
-	if !s.Observe(1, dst) || s.TotalAttempts() != 1 {
-		t.Error("restored sensor did not record")
-	}
-}
-
-func TestObserveKindPayloadAccountingWhenDown(t *testing.T) {
-	s := NewSensor(Block{Label: "T", Prefix: ipv4.MustParsePrefix("10.0.0.0/24")})
-	dst := ipv4.MustParseAddr("10.0.0.9")
-	// Up, UDP payload: recorded and payload obtained.
-	if rec, pay := s.ObserveKind(1, dst, UDPPayload); !rec || !pay {
-		t.Fatalf("up sensor: recorded=%v payload=%v, want true/true", rec, pay)
-	}
-	s.SetUp(false)
-	if rec, pay := s.ObserveKind(2, dst, UDPPayload); rec || pay {
-		t.Errorf("down sensor: recorded=%v payload=%v, want false/false", rec, pay)
-	}
-	if got := s.PayloadsObtained(); got != 1 {
-		t.Errorf("PayloadsObtained = %d, want 1 (down probe must not count)", got)
-	}
-	if got := s.Missed(); got != 1 {
-		t.Errorf("Missed = %d, want 1", got)
-	}
-	if got := s.TotalAttempts(); got != 1 {
-		t.Errorf("TotalAttempts = %d, want 1", got)
-	}
-}
-
-func TestFleetPartialOutageAndResetMidRun(t *testing.T) {
-	fleet := MustNewFleet(DefaultIMSBlocks())
-	src := ipv4.MustParseAddr("7.7.7.7")
-	dstD := ipv4.MustParseAddr("98.136.10.1")
-	dstZ := ipv4.MustParseAddr("41.200.3.4")
-
-	if !fleet.SetUp("D", false) {
-		t.Fatal("SetUp failed for a known label")
-	}
-	if fleet.SetUp("nope", false) {
-		t.Error("SetUp succeeded for an unknown label")
-	}
-	if got, want := fleet.NumUp(), len(DefaultIMSBlocks())-1; got != want {
-		t.Errorf("NumUp = %d, want %d", got, want)
-	}
-	if fleet.Observe(src, dstD) {
-		t.Error("probe to a down sensor recorded")
-	}
-	if !fleet.Observe(src, dstZ) {
-		t.Error("probe to an up sensor dropped")
-	}
-	if got := fleet.Missed(); got != 1 {
-		t.Errorf("fleet Missed = %d, want 1", got)
-	}
-
-	// Reset mid-run: traffic and missed counters clear, posture survives.
-	fleet.Reset()
-	if got := fleet.Missed(); got != 0 {
-		t.Errorf("Missed after Reset = %d, want 0", got)
-	}
-	if got := fleet.Sensor("Z").TotalAttempts(); got != 0 {
-		t.Errorf("Z attempts after Reset = %d, want 0", got)
-	}
-	if fleet.Sensor("D").Up() {
-		t.Error("Reset flipped a down sensor back up")
-	}
-	if got, want := fleet.NumUp(), len(DefaultIMSBlocks())-1; got != want {
-		t.Errorf("NumUp after Reset = %d, want %d", got, want)
-	}
-	// The run continues: the down sensor keeps missing, up sensors record.
-	fleet.Observe(src, dstD)
-	if !fleet.Observe(src, dstZ) {
-		t.Error("post-reset probe to an up sensor dropped")
-	}
-	if fleet.Missed() != 1 || fleet.Sensor("Z").TotalAttempts() != 1 {
-		t.Error("post-reset accounting wrong")
 	}
 }
 
@@ -295,4 +192,15 @@ func TestFleetOverlapErrorNamesBlocks(t *testing.T) {
 			t.Errorf("overlap error %q missing %q", msg, want)
 		}
 	}
+}
+
+func blockNamed(t *testing.T, blocks []Block, label string) Block {
+	t.Helper()
+	for _, b := range blocks {
+		if b.Label == label {
+			return b
+		}
+	}
+	t.Fatalf("no %s block", label)
+	return Block{}
 }

@@ -1,19 +1,8 @@
 package sensor
 
-import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-
-	"repro/internal/ipv4"
-)
-
 // Snapshot is a serializable dump of a fleet's observations: what a darknet
 // deployment would persist and exchange (the IMS reports that fed the
-// paper's figures). It round-trips through a compact binary format and
-// through encoding/json.
+// paper's figures). It round-trips through encoding/json.
 type Snapshot struct {
 	Blocks []BlockSnapshot `json:"blocks"`
 }
@@ -47,160 +36,4 @@ func (f *Fleet) Snapshot() Snapshot {
 		snap.Blocks = append(snap.Blocks, bs)
 	}
 	return snap
-}
-
-// snapshotMagic identifies the binary format ("IMS" + version 1).
-var snapshotMagic = [4]byte{'I', 'M', 'S', 1}
-
-// WriteBinary serializes the snapshot in the compact binary format.
-func (s Snapshot) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(snapshotMagic[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(s.Blocks))); err != nil {
-		return err
-	}
-	for _, b := range s.Blocks {
-		if err := writeString(bw, b.Label); err != nil {
-			return err
-		}
-		if err := writeString(bw, b.Prefix); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, b.TotalAttempts); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, b.UniqueSources); err != nil {
-			return err
-		}
-		if len(b.Attempts) != len(b.Uniq) {
-			return errors.New("sensor: snapshot series length mismatch")
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(b.Attempts))); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, b.Attempts); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, b.Uniq); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadSnapshot parses the binary format.
-func ReadSnapshot(r io.Reader) (Snapshot, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return Snapshot{}, fmt.Errorf("sensor: read magic: %w", err)
-	}
-	if magic != snapshotMagic {
-		return Snapshot{}, errors.New("sensor: not a snapshot stream")
-	}
-	var nBlocks uint32
-	if err := binary.Read(br, binary.LittleEndian, &nBlocks); err != nil {
-		return Snapshot{}, err
-	}
-	const maxBlocks = 1 << 16
-	if nBlocks > maxBlocks {
-		return Snapshot{}, fmt.Errorf("sensor: implausible block count %d", nBlocks)
-	}
-	snap := Snapshot{Blocks: make([]BlockSnapshot, 0, nBlocks)}
-	for i := uint32(0); i < nBlocks; i++ {
-		var b BlockSnapshot
-		var err error
-		if b.Label, err = readString(br); err != nil {
-			return Snapshot{}, err
-		}
-		if b.Prefix, err = readString(br); err != nil {
-			return Snapshot{}, err
-		}
-		if err := binary.Read(br, binary.LittleEndian, &b.TotalAttempts); err != nil {
-			return Snapshot{}, err
-		}
-		if err := binary.Read(br, binary.LittleEndian, &b.UniqueSources); err != nil {
-			return Snapshot{}, err
-		}
-		var n uint32
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-			return Snapshot{}, err
-		}
-		if n > 1<<24 {
-			return Snapshot{}, fmt.Errorf("sensor: implausible /24 count %d", n)
-		}
-		b.Attempts = make([]uint64, n)
-		b.Uniq = make([]uint32, n)
-		if err := binary.Read(br, binary.LittleEndian, b.Attempts); err != nil {
-			return Snapshot{}, err
-		}
-		if err := binary.Read(br, binary.LittleEndian, b.Uniq); err != nil {
-			return Snapshot{}, err
-		}
-		snap.Blocks = append(snap.Blocks, b)
-	}
-	return snap, nil
-}
-
-// Block returns the snapshot for the labeled block.
-func (s Snapshot) Block(label string) (BlockSnapshot, bool) {
-	for _, b := range s.Blocks {
-		if b.Label == label {
-			return b, true
-		}
-	}
-	return BlockSnapshot{}, false
-}
-
-// PerSlash24Counts reconstructs the concatenated per-/24 attempt
-// distribution across all blocks (the input shape of core.Analyze).
-func (s Snapshot) PerSlash24Counts() []uint64 {
-	var out []uint64
-	for _, b := range s.Blocks {
-		out = append(out, b.Attempts...)
-	}
-	return out
-}
-
-// Validate checks internal consistency (series lengths and block prefixes).
-func (s Snapshot) Validate() error {
-	for _, b := range s.Blocks {
-		if len(b.Attempts) != len(b.Uniq) {
-			return fmt.Errorf("sensor: block %s series mismatch", b.Label)
-		}
-		p, err := ipv4.ParsePrefix(b.Prefix)
-		if err != nil {
-			return fmt.Errorf("sensor: block %s: %w", b.Label, err)
-		}
-		if want := p.Slash24s(); len(b.Attempts) != want {
-			return fmt.Errorf("sensor: block %s has %d slots, prefix implies %d",
-				b.Label, len(b.Attempts), want)
-		}
-	}
-	return nil
-}
-
-func writeString(w *bufio.Writer, s string) error {
-	if len(s) > 255 {
-		return errors.New("sensor: string too long for snapshot format")
-	}
-	if err := w.WriteByte(byte(len(s))); err != nil {
-		return err
-	}
-	_, err := w.WriteString(s)
-	return err
-}
-
-func readString(r *bufio.Reader) (string, error) {
-	n, err := r.ReadByte()
-	if err != nil {
-		return "", err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }

@@ -1,10 +1,8 @@
 package sensor
 
 import (
-	"bytes"
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/ipv4"
@@ -21,24 +19,6 @@ func populatedFleet(t *testing.T) *Fleet {
 		}
 	}
 	return fleet
-}
-
-func TestSnapshotBinaryRoundTrip(t *testing.T) {
-	snap := populatedFleet(t).Snapshot()
-	if err := snap.Validate(); err != nil {
-		t.Fatalf("fresh snapshot invalid: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := snap.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(snap, back) {
-		t.Error("binary round trip lost data")
-	}
 }
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
@@ -58,8 +38,15 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 
 func TestSnapshotContents(t *testing.T) {
 	snap := populatedFleet(t).Snapshot()
-	d, ok := snap.Block("D")
-	if !ok {
+	var d BlockSnapshot
+	var slots int
+	for _, b := range snap.Blocks {
+		if b.Label == "D" {
+			d = b
+		}
+		slots += len(b.Attempts)
+	}
+	if d.Label != "D" {
 		t.Fatal("D block missing from snapshot")
 	}
 	if d.TotalAttempts != 3 { // 1 probe to .0.5 + 2 to .3.7
@@ -68,47 +55,11 @@ func TestSnapshotContents(t *testing.T) {
 	if d.Attempts[0] != 1 || d.Attempts[3] != 2 {
 		t.Errorf("D per-/24 = %v", d.Attempts[:4])
 	}
-	if _, ok := snap.Block("nope"); ok {
-		t.Error("unknown label found")
-	}
-	counts := snap.PerSlash24Counts()
 	var want int
 	for _, b := range DefaultIMSBlocks() {
 		want += b.Prefix.Slash24s()
 	}
-	if len(counts) != want {
-		t.Errorf("concatenated counts = %d slots, want %d", len(counts), want)
-	}
-}
-
-func TestReadSnapshotRejectsGarbage(t *testing.T) {
-	if _, err := ReadSnapshot(strings.NewReader("not a snapshot")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := ReadSnapshot(strings.NewReader("")); err == nil {
-		t.Error("empty stream accepted")
-	}
-	// Truncated valid stream.
-	snap := populatedFleet(t).Snapshot()
-	var buf bytes.Buffer
-	if err := snap.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	truncated := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadSnapshot(bytes.NewReader(truncated)); err == nil {
-		t.Error("truncated stream accepted")
-	}
-}
-
-func TestSnapshotValidateCatchesCorruption(t *testing.T) {
-	snap := populatedFleet(t).Snapshot()
-	snap.Blocks[0].Attempts = snap.Blocks[0].Attempts[:1]
-	if err := snap.Validate(); err == nil {
-		t.Error("series mismatch not caught")
-	}
-	snap = populatedFleet(t).Snapshot()
-	snap.Blocks[0].Prefix = "bogus"
-	if err := snap.Validate(); err == nil {
-		t.Error("bad prefix not caught")
+	if slots != want {
+		t.Errorf("per-/24 series hold %d slots, want %d", slots, want)
 	}
 }

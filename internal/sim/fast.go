@@ -83,10 +83,9 @@ type FastConfig struct {
 	// events in simulated seconds.
 	Clock *obs.SimClock
 	// Faults, when non-nil, injects the plan's sensor outages, bursty
-	// loss, and degraded reporting into the run (misconfiguration is
-	// applied when LossRate/BlockedDst are derived, not here). The plan's
-	// horizon must cover MaxSeconds. The burst channel scales each tick's
-	// delivery probability; sensor draws landing on withdrawn blocks are
+	// loss, and degraded reporting into the run. The plan's horizon must
+	// cover MaxSeconds. The burst channel scales each tick's delivery
+	// probability; sensor draws landing on withdrawn blocks are
 	// OutcomeSensorDown and never reach Sensors.
 	Faults *faults.Plan
 	// Trace, when non-nil, receives the run's flight-recorder events.

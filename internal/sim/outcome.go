@@ -35,7 +35,7 @@ const (
 	// OutcomeDelivered: the probe crossed the network and landed on
 	// unmonitored, non-vulnerable (or already-infected) address space.
 	OutcomeDelivered ProbeOutcome = iota
-	// OutcomeFiltered: dropped by environment policy — egress/ingress
+	// OutcomeFiltered: dropped by environment policy — egress
 	// filters, containment, or random loss.
 	OutcomeFiltered
 	// OutcomePrivateDropped: an RFC 1918 destination probed from a public

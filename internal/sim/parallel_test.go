@@ -33,8 +33,8 @@ func serializeExactRun(t *testing.T, res *Result, fleet *sensor.Fleet) string {
 	out += fmt.Sprintf("cum %v\n", res.Outcomes)
 	if fleet != nil {
 		for _, s := range fleet.Sensors() {
-			out += fmt.Sprintf("sensor %v total=%d uniq=%d missed=%d\n",
-				s.Block(), s.TotalAttempts(), s.UniqueSources(), s.Missed())
+			out += fmt.Sprintf("sensor %v total=%d uniq=%d\n",
+				s.Block(), s.TotalAttempts(), s.UniqueSources())
 			for _, st := range s.PerSlash24() {
 				if st.Attempts > 0 {
 					out += fmt.Sprintf("  /24 %v a=%d u=%d\n", st.First, st.Attempts, st.UniqueSources)
@@ -46,7 +46,7 @@ func serializeExactRun(t *testing.T, res *Result, fleet *sensor.Fleet) string {
 }
 
 // runExactWorkers executes one fully loaded exact run — NAT sites,
-// egress/ingress filtering, loss, a sensor fleet behind OnProbe, and a
+// egress filtering, loss, a sensor fleet behind OnProbe, and a
 // fault plan with an outage, bursty loss, and delayed/duplicated
 // reporting — with the given worker count, and serializes everything.
 func runExactWorkers(t *testing.T, workers int) string {
@@ -60,7 +60,7 @@ func runExactWorkers(t *testing.T, workers int) string {
 		t.Fatal(err)
 	}
 	env.AddEgressFilter(ipv4.MustParsePrefix("20.0.0.0/8"), 0.5)
-	env.AddIngressFilter(ipv4.MustParsePrefix("30.0.0.0/8"), 0.3)
+	env.AddEgressFilter(ipv4.MustParsePrefix("30.0.0.0/8"), 0.3)
 
 	fleet := sensor.MustNewFleet([]sensor.Block{
 		{Label: "A", Prefix: ipv4.MustParsePrefix("200.10.0.0/20")},

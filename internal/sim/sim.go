@@ -163,11 +163,10 @@ type ExactConfig struct {
 	// events in simulated seconds.
 	Clock *obs.SimClock
 	// Faults, when non-nil, injects the plan's sensor outages, bursty
-	// loss, and degraded reporting into the run (misconfiguration is
-	// applied when the Environment is built, not here). The plan's
-	// horizon must cover MaxSeconds. Probes dropped by the burst channel
-	// are OutcomeBurstLost; probes landing on withdrawn monitored space
-	// are OutcomeSensorDown and never reach OnProbe.
+	// loss, and degraded reporting into the run. The plan's horizon must
+	// cover MaxSeconds. Probes dropped by the burst channel are
+	// OutcomeBurstLost; probes landing on withdrawn monitored space are
+	// OutcomeSensorDown and never reach OnProbe.
 	Faults *faults.Plan
 	// Trace, when non-nil, receives the run's flight-recorder events:
 	// phase boundaries, seed and infection edges (with infector→victim
@@ -364,7 +363,7 @@ func RunExact(cfg ExactConfig) (*Result, error) {
 					w.outcomes[OutcomeBurstLost]++
 					continue
 				}
-				if !a.view.Delivered(dst, &w.envR) {
+				if !a.view.Delivered(&w.envR) {
 					w.outcomes[OutcomeFiltered]++
 					continue
 				}

@@ -171,7 +171,7 @@ func TestExactEnvironmentHardBlock(t *testing.T) {
 	pop := smallPop(t, 300, 9)
 	env := &netenv.Environment{}
 	// Block everything: no infections beyond seeds can occur.
-	env.AddIngressFilter(ipv4.MustParsePrefix("0.0.0.0/0"), 1.0)
+	env.AddEgressFilter(ipv4.MustParsePrefix("0.0.0.0/0"), 1.0)
 	list, _ := worm.BuildGreedySlash16HitList(pop.Addrs(false), 24)
 	res, err := RunExact(ExactConfig{
 		Pop: pop, Env: env,

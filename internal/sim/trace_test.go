@@ -34,7 +34,7 @@ func traceExactWorkers(t *testing.T, workers int) (string, string) {
 		t.Fatal(err)
 	}
 	env.AddEgressFilter(ipv4.MustParsePrefix("20.0.0.0/8"), 0.5)
-	env.AddIngressFilter(ipv4.MustParsePrefix("30.0.0.0/8"), 0.3)
+	env.AddEgressFilter(ipv4.MustParsePrefix("30.0.0.0/8"), 0.3)
 
 	fleet := sensor.MustNewFleet([]sensor.Block{
 		{Label: "A", Prefix: ipv4.MustParsePrefix("200.10.0.0/20")},

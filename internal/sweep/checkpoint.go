@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"repro/internal/trace"
-	"sort"
 	"sync"
 )
 
@@ -54,18 +53,6 @@ func (c *Checkpoint) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.done)
-}
-
-// Keys returns the stored keys, sorted.
-func (c *Checkpoint) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]string, 0, len(c.done))
-	for k := range c.done {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Lookup decodes the stored result for key into out, reporting whether the

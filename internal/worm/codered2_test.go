@@ -33,7 +33,7 @@ func TestCodeRedIILocalPreferenceSplit(t *testing.T) {
 		switch {
 		case a.SameSlash16(own):
 			same16++
-		case a.SameSlash8(own):
+		case a.Slash8() == own.Slash8():
 			same8only++
 		default:
 			elsewhere++
@@ -97,7 +97,7 @@ func TestCodeRedIIUniformHasNoLocalPreference(t *testing.T) {
 		if a.IsLoopback() || a.IsReserved() || a == own {
 			t.Fatalf("exclusion violated: %v", a)
 		}
-		if a.SameSlash8(own) {
+		if a.Slash8() == own.Slash8() {
 			same8++
 		}
 	}

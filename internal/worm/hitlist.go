@@ -36,9 +36,6 @@ func (h *HitList) Next() ipv4.Addr {
 	return h.set.Select(h.r.Uint64n(h.size))
 }
 
-// Set returns the scanner's address set (shared, not copied).
-func (h *HitList) Set() *ipv4.Set { return h.set }
-
 // HitListFactory builds HitList scanners over a shared set, matching the
 // paper's Section 5.2 simulation where every newly infected host receives
 // the same /16 prefix list.

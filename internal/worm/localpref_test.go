@@ -41,7 +41,7 @@ func TestLocalPreferenceDistribution(t *testing.T) {
 			s24++
 		case a.SameSlash16(own):
 			s16only++
-		case a.SameSlash8(own):
+		case a.Slash8() == own.Slash8():
 			s8only++
 		default:
 			elsewhere++

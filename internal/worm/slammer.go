@@ -62,9 +62,6 @@ func NewSlammer(variant int, seed uint32) *Slammer {
 // Next advances the LCG and returns its state as the target.
 func (s *Slammer) Next() ipv4.Addr { return ipv4.Addr(s.lcg.Next()) }
 
-// State exposes the current LCG state (the last target produced).
-func (s *Slammer) State() uint32 { return s.lcg.State() }
-
 // SlammerFactory builds Slammer scanners. Variant selects the sqlsort.dll
 // version; per-host seeds are folded to the 32-bit state space.
 type SlammerFactory struct {

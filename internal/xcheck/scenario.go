@@ -137,9 +137,7 @@ type Scenario struct {
 
 	// Faults: burst loss and degraded reporting are stored directly;
 	// sensor outages are scheduled by index and resolved against the
-	// placed fleet at build time. Misconfiguration faults are out of the
-	// harness's scope (they rewrite org-level environments, which the
-	// scenario space does not model).
+	// placed fleet at build time.
 	Faults         *faults.Config `json:"faults,omitempty"`
 	SensorOutages  []OutageWindow `json:"sensor_outages,omitempty"`
 	StopWhenInfect int            `json:"stop_when_infected,omitempty"`
@@ -264,9 +262,6 @@ func (s *Scenario) Validate() error {
 		}
 	}
 	if s.Faults != nil {
-		if s.Faults.Misconfig != nil {
-			return fmt.Errorf("xcheck: misconfiguration faults are outside the scenario space")
-		}
 		if len(s.Faults.Outages) > 0 {
 			return fmt.Errorf("xcheck: raw outages must be scheduled via sensor_outages")
 		}

@@ -53,6 +53,9 @@ serve_start=$(date +%s)
 mkdir -p .serve
 go build -o .serve/hotspotd ./cmd/hotspotd
 go build -o .serve/hotspotload ./cmd/hotspotload
+# A fresh store each run: a kept one would serve every job from its cache
+# and the smoke would run no scenario at all.
+rm -rf .serve/data
 .serve/hotspotd -addr 127.0.0.1:0 -dir .serve/data -max-body 65536 > .serve/hotspotd.log 2>&1 &
 hotspotd_pid=$!
 addr=""
