@@ -244,3 +244,50 @@ func TestModInversePow2(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryOrbitIsAnArithmeticProgression walks every orbit of
+// x ↦ slammerA·x + b mod 2ⁿ for n = 8…16, over the three Slammer
+// increments, the intended increment 0xffd9613c and one odd increment,
+// and requires each orbit to equal {x + j·2^s mod 2ⁿ : 0 ≤ j < 2^(n−s)}
+// for its own s: a whole residue class mod 2^s, visited x, x', … with
+// every member ≡ x (mod 2^s). It checks the result the darknet
+// analysis rests on, that every cycle of the Slammer generator is an
+// arithmetic progression with power-of-two stride, by brute force
+// rather than from the closed form.
+func TestEveryOrbitIsAnArithmeticProgression(t *testing.T) {
+	increments := append([]uint32{0xffd9613c, 2531011}, slammerIncrements...)
+	for bitCount := uint(8); bitCount <= 16; bitCount++ {
+		size := uint32(1) << bitCount
+		for _, b := range increments {
+			m := MustNewMap(slammerA, b, bitCount)
+			seen := make([]bool, size)
+			for x := uint32(0); x < size; x++ {
+				if seen[x] {
+					continue
+				}
+				var orbit []uint32
+				for y := x; !seen[y]; y = m.Step(y) {
+					seen[y] = true
+					orbit = append(orbit, y)
+				}
+				if m.Step(orbit[len(orbit)-1]) != x {
+					t.Fatalf("n=%d b=%#x: the walk from %#x closes elsewhere", bitCount, b, x)
+				}
+				length := uint32(len(orbit))
+				if length&(length-1) != 0 || uint64(length) != m.Period(x) {
+					t.Fatalf("n=%d b=%#x: orbit of %#x has %d states, Period %d; want one power of two",
+						bitCount, b, x, length, m.Period(x))
+				}
+				// 2^s · length = 2ⁿ: the orbit's distinct states, all ≡ x
+				// (mod 2^s), fill x's residue class.
+				stride := size / length
+				for _, y := range orbit {
+					if (y-x)%stride != 0 {
+						t.Fatalf("n=%d b=%#x: orbit of %#x holds %#x, not ≡ %#x (mod %d)",
+							bitCount, b, x, y, x, stride)
+					}
+				}
+			}
+		}
+	}
+}

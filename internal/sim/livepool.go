@@ -109,22 +109,10 @@ func (li *liveIndex) rank(pos int) int {
 }
 
 // selectRank returns the slot of live rank k (0-based) over the whole
-// index. Its block is the last one whose prefix is at most k, which lies
-// between the directory samples around k: a forward scan of the prefixes
-// from the lower sample's block finds it. pre[blocks] is the live total,
-// above every rank, so the scan stops inside the index. A popcount walk
-// of at most four words then finds the word, and a broadword in-word
-// select the slot. The scan's loads do not depend on each other, where a
-// halving search's each depend on the last, so it is the faster of the
-// two wherever the samples are a few blocks apart, which is everywhere
-// but in long dead runs.
+// index. selectBlock finds its block, a popcount walk of at most four
+// words the word, and a broadword in-word select the slot.
 func (li *liveIndex) selectRank(k int) int {
-	rem := int32(k)
-	b := int(li.sel[k/liveSelSample])
-	for li.pre[b+1] <= rem {
-		b++
-	}
-	rem -= li.pre[b]
+	b, rem := li.selectBlock(k)
 	w := b * liveBlockWords
 	for {
 		c := int32(bits.OnesCount64(li.words[w]))
@@ -135,6 +123,23 @@ func (li *liveIndex) selectRank(k int) int {
 		w++
 	}
 	return w<<6 + selectInWord(li.words[w], uint(rem))
+}
+
+// selectBlock returns the block b holding live rank k, the one with
+// pre[b] ≤ k < pre[b+1], and k's rank within it. That block lies between
+// the directory samples around k: a forward scan of the prefixes from
+// the lower sample's block finds it. pre[blocks] is the live total,
+// above every rank, so the scan stops inside the index. The scan's loads
+// do not depend on each other, where a halving search's each depend on
+// the last, so it is the faster of the two wherever the samples are a
+// few blocks apart, which is everywhere but in long dead runs.
+func (li *liveIndex) selectBlock(k int) (b int, rem int32) {
+	rem = int32(k)
+	b = int(li.sel[k/liveSelSample])
+	for li.pre[b+1] <= rem {
+		b++
+	}
+	return b, rem - li.pre[b]
 }
 
 const (

@@ -200,11 +200,27 @@ func checkRankSelect(t *testing.T, li *liveIndex, slots []int, k int) {
 	}
 }
 
+// checkSelectBlock holds selectBlock to its definition at every live
+// rank: block b with pre[b] ≤ k < pre[b+1], and k's rank within it. A
+// scan that stops one block early still selects the right slot, since
+// the word walk runs on into the next block, so only this check sees it.
+func checkSelectBlock(t *testing.T, li *liveIndex, live int) {
+	t.Helper()
+	for k := 0; k < live; k++ {
+		b, rem := li.selectBlock(k)
+		if int(li.pre[b]) > k || k >= int(li.pre[b+1]) || int(rem) != k-int(li.pre[b]) {
+			t.Fatalf("n=%d: selectBlock(%d) = (%d, %d), but pre[%d..%d] = %d..%d",
+				li.n, k, b, rem, b, b+1, li.pre[b], li.pre[b+1])
+		}
+	}
+}
+
 // TestLiveIndexSelectDirectory drives the select directory through the
 // shapes its lookup must get right: ranks on, just before and just after
 // every sample, the last (partial) sample bucket, fewer live slots than
 // one sample, a long dead run that makes one sample bucket span many
-// blocks, and an index whose every slot is dead.
+// blocks, and an index whose every slot is dead. At each shape it also
+// checks selectBlock at every live rank.
 func TestLiveIndexSelectDirectory(t *testing.T) {
 	const n = 300*liveBlockSlots + 77
 	li := newLiveIndex(n)
@@ -218,6 +234,7 @@ func TestLiveIndexSelectDirectory(t *testing.T) {
 		li.refresh()
 		slots := liveSlots(ref)
 		checkSelectDirectory(t, li, slots)
+		checkSelectBlock(t, li, len(slots))
 		if got := li.rank(n); got != len(slots) {
 			t.Fatalf("%s: rank(n) = %d, want %d", stage, got, len(slots))
 		}

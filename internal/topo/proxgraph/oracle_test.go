@@ -58,12 +58,13 @@ func bruteWorld(cfg Config, xs, ys []float64) (off, nbrs []int32) {
 	return off, nbrs
 }
 
-// checkAgainstBrute builds the world over hand-placed positions and
-// fails unless its CSR equals the brute-force reference.
+// checkAgainstBrute builds the world over hand-placed positions on one
+// band and fails unless its CSR equals the brute-force reference;
+// TestLinkBandsByteIdentical holds every other band count to that build.
 func checkAgainstBrute(t *testing.T, name string, cfg Config, xs, ys []float64) {
 	t.Helper()
 	cfg.Nodes = len(xs)
-	w := build(cfg, xs, ys)
+	w := build(cfg, xs, ys, 1)
 	off, nbrs := bruteWorld(cfg, xs, ys)
 	if !slices.Equal(w.nbrOff, off) || !slices.Equal(w.nbrs, nbrs) {
 		for i := 0; i < cfg.Nodes; i++ {
@@ -206,6 +207,14 @@ func TestGridWidthCaps(t *testing.T) {
 // mix uniform points, cell-edge lattice points, their ulp neighbors and
 // duplicates, over default and explicit radii.
 func TestRandomWorldsMatchBruteForce(t *testing.T) {
+	randomWorlds(func(name string, cfg Config, xs, ys []float64) {
+		checkAgainstBrute(t, name, cfg, xs, ys)
+	})
+}
+
+// randomWorlds calls f on each of TestRandomWorldsMatchBruteForce's 300
+// worlds, Nodes unset: the positions' length is the node count.
+func randomWorlds(f func(name string, cfg Config, xs, ys []float64)) {
 	radii := []float64{0, 0, 0.05, 0.1, 0.19, 0.3, 0.5, 1.5}
 	r := rng.NewXoshiroStream(17, 0, 0)
 	for world := 0; world < 300; world++ {
@@ -235,6 +244,6 @@ func TestRandomWorldsMatchBruteForce(t *testing.T) {
 			}
 			xs[i], ys[i] = coord(), coord()
 		}
-		checkAgainstBrute(t, fmt.Sprintf("world %d", world), cfg, xs, ys)
+		f(fmt.Sprintf("world %d", world), cfg, xs, ys)
 	}
 }

@@ -19,14 +19,19 @@
 // ahead of its current Degree-th, and keeps its Degree nearest
 // candidates in a bounded top-k buffer under the total (distance², id)
 // order; its preference row is insertion-sorted to ascending id. Which
-// node or cell is visited first therefore never changes a row. One pass
-// in id order then prunes each row in place to its mutual entries and
-// packs it into the adjacency CSR, which is ascending per node.
+// node or cell is visited first therefore never changes a row, so the
+// search runs on GOMAXPROCS bands of grid rows at once. A parallel mark
+// then flags each row entry whose pair is mutual, and one pass in id
+// order compacts each row in place to its flagged entries, packing the
+// rows into the adjacency CSR, which is ascending per node. The world
+// is the same at every GOMAXPROCS.
 package proxgraph
 
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"repro/internal/rng"
 )
@@ -74,8 +79,10 @@ func DefaultRadius(nodes, degree int) float64 {
 // default radius a node scans about 46 candidates in 4–5 cells, where
 // the full 5×5-cell neighborhood holds about 250. Memory is
 // O(nodes·min(Degree, Nodes-1)), and the work per node is sized by
-// Radius and Degree, not by Nodes. A 10⁶-node, Degree-8 world builds in
-// about 2 s on a 2-vCPU x86-64 host. Configs whose
+// Radius and Degree, not by Nodes. The search and the mutual mark run
+// on runtime.GOMAXPROCS(0) goroutines, and the world does not depend on
+// how many. A 10⁶-node, Degree-8 world builds in about 0.9 s on a 2-vCPU
+// x86-64 host, and in about 1.5 s on one of its cores. Configs whose
 // Nodes·min(Degree, Nodes-1) would overflow the int32 ids and offsets
 // are rejected before any allocation.
 func New(cfg Config) (*World, error) {
@@ -98,18 +105,19 @@ func New(cfg Config) (*World, error) {
 			cfg.Nodes, k, math.MaxInt32)
 	}
 	xs, ys := place(cfg)
-	return build(cfg, xs, ys), nil
+	return build(cfg, xs, ys, runtime.GOMAXPROCS(0)), nil
 }
 
 // build links the world for a validated cfg over the node positions
-// (xs[i], ys[i]) in the unit square and marks its sensors.
-func build(cfg Config, xs, ys []float64) *World {
+// (xs[i], ys[i]) in the unit square on up to bands goroutines, and marks
+// its sensors. The world does not depend on bands.
+func build(cfg Config, xs, ys []float64, bands int) *World {
 	w := &World{cfg: cfg, radius: cfg.Radius}
 	//lint:ignore float-eq a zero Radius is the documented use-the-default value, never a computed one
 	if w.radius == 0 {
 		w.radius = DefaultRadius(cfg.Nodes, cfg.Degree)
 	}
-	w.link(xs, ys)
+	w.link(xs, ys, bands)
 	w.markSensors()
 	return w
 }
@@ -197,21 +205,28 @@ func gridWidth(radius float64, nodes int) int {
 	return min(int(min(1/radius, 4095))+1, int(math.Ceil(math.Sqrt(float64(nodes)))))
 }
 
-// link builds the mutual-kNN adjacency from the node positions. Stage 1
-// lays the nodes out in a grid of cells at least radius wide (gridWidth,
-// newGrid). Stage 2 walks the grid cell by cell, row by row, so
-// consecutive nodes share most of their candidate cells in cache, and
-// ranks each node's in-radius candidates by (distance², id) — ids are
-// unique, so the order is total — in a bounded top-k buffer that keeps
-// only the Degree nearest. The kept ids become the node's preference row, a fixed-stride slot sorted
-// to ascending id. Stage 3 keeps an edge iff it appears in both
-// endpoints' preference rows. It walks the rows in id order and
-// compacts each one in place to its mutual entries, shifted left to its
-// CSR offset, so the preference array becomes the adjacency. A row
-// already visited holds i iff its pair with i is mutual, and that is all
-// a later check asks of it, so checking a compacted row is exact. Rows
-// are ascending, so the final CSR is too.
-func (w *World) link(xs, ys []float64) {
+// link builds the mutual-kNN adjacency from the node positions on
+// bands goroutines. Stage 1 lays the nodes out in a grid of cells at
+// least radius wide (gridWidth, newGrid). Stage 2 cuts the grid's cell
+// rows into at most min(bands, gw) contiguous bands of about equal node
+// count (bandCuts) and ranks each band on its own goroutine (rankBand):
+// it walks its rows cell by cell, so consecutive nodes share most of
+// their candidate cells in cache, and keeps each node's Degree nearest
+// in-radius candidates under the total (distance², id) order — ids are
+// unique — in a bounded top-k buffer. The kept ids become the node's
+// preference row, a fixed-stride slot sorted to ascending id. Each node
+// lies in exactly one band, and a band writes only its own nodes' rows
+// and row lengths. Stage 3 keeps an edge iff it appears in both
+// endpoints' preference rows. Its mark splits the preference entries
+// into ranges cut on 64-entry boundaries, so no two goroutines share a
+// word of the keep bitset, and sets one bit per entry whose other
+// endpoint's uncompacted row holds the entry's own node. No row changes
+// while any mark runs. One serial pass in id order then compacts each
+// row's kept entries in place, shifted left to its CSR offset, so the
+// preference array becomes the adjacency. Rows are ascending, so the CSR
+// is too. What a band ranks and marks depends only on the positions, so
+// the world is the same at every band count.
+func (w *World) link(xs, ys []float64, bands int) {
 	n := w.cfg.Nodes
 	gw := gridWidth(w.radius, n)
 	g := newGrid(xs, ys, gw)
@@ -219,20 +234,85 @@ func (w *World) link(xs, ys []float64) {
 	// New has checked that n·k fits in int32.
 	k := prefStride(w.cfg)
 	pref := make([]int32, n*k)
-	// nbrOff[i+1] holds row i's preference length until stage 3 prunes
-	// row i and sets it to the row's CSR end.
+	// nbrOff[i+1] holds row i's preference length until the compaction
+	// sets it to the row's CSR end.
 	nbrOff := make([]int32, n+1)
-	r2 := w.radius * w.radius
+	cuts := bandCuts(g, min(bands, gw))
+	fanOut(len(cuts)-1, func(b int) {
+		g.rankBand(pref, nbrOff, k, w.radius, cuts[b], cuts[b+1])
+	})
+
+	keep := make([]uint64, (n*k+63)/64)
+	words := len(keep)
+	parts := min(bands, words)
+	fanOut(parts, func(p int) {
+		markMutual(keep, pref, nbrOff, k, p*words/parts*64, min((p+1)*words/parts*64, n*k))
+	})
+
+	// Every write lands at or before the entry just read.
+	at := 0
+	for i := 0; i < n; i++ {
+		for e := i * k; e < i*k+int(nbrOff[i+1]); e++ {
+			pref[at] = pref[e]
+			at += int(keep[e>>6] >> (e & 63) & 1)
+		}
+		nbrOff[i+1] = int32(at)
+	}
+	w.nbrOff = nbrOff
+	w.nbrs = pref[:at:at]
+}
+
+// bandCuts cuts the grid's gw cell rows into parts contiguous bands of
+// about equal node count: band b holds rows cuts[b]..cuts[b+1], and
+// cuts[b] is the first row starting at or after node position b·n/parts.
+// A band may hold no rows, or only empty ones.
+func bandCuts(g *grid, parts int) []int {
+	n := len(g.ids)
+	cuts := make([]int, parts+1)
+	row := 0
+	for b := 1; b < parts; b++ {
+		for row < g.gw && int(g.off[row*g.gw]) < b*n/parts {
+			row++
+		}
+		cuts[b] = row
+	}
+	cuts[parts] = g.gw
+	return cuts
+}
+
+// fanOut runs work(0..parts-1), on the calling goroutine when parts is 1
+// and on one goroutine per part otherwise, and returns when all are done.
+func fanOut(parts int, work func(p int)) {
+	if parts == 1 {
+		work(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < parts; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(p)
+		}()
+	}
+	wg.Wait()
+}
+
+// rankBand fills the preference rows and row lengths of the nodes in
+// cell rows lo..hi, with its own search scratch.
+func (g *grid) rankBand(pref, nbrOff []int32, k int, radius float64, lo, hi int) {
+	gw := g.gw
+	r2 := radius * radius
 	// A candidate can be at most radius away, i.e. at most
 	// ceil(radius·gw) grid cells away on either axis; +1 absorbs the
 	// floor truncation, over-covering by at most one cell ring. No ring
 	// past gw-1 holds a cell. The ring count is clamped in float64, so
 	// extreme radii cannot overflow the int conversion.
-	span := int(min(w.radius*float64(gw), float64(gw))) + 1
+	span := int(min(radius*float64(gw), float64(gw))) + 1
 	top := make([]cand, 0, k)
 	gx := make([]float64, 2*span+1)
 	gy := make([]float64, 2*span+1)
-	for cy := 0; cy < gw; cy++ {
+	for cy := lo; cy < hi; cy++ {
 		for cx := 0; cx < gw; cx++ {
 			c := cy*gw + cx
 			for p := g.off[c]; p < g.off[c+1]; p++ {
@@ -251,27 +331,33 @@ func (w *World) link(xs, ys []float64) {
 			}
 		}
 	}
+}
 
-	// Every write lands at or before the entry just read, and rows past
-	// i are untouched until their turn.
-	at := int32(0)
-	for i := 0; i < n; i++ {
-		for _, j := range pref[i*k : i*k+int(nbrOff[i+1])] {
-			var other []int32
-			if int(j) < i {
-				other = pref[nbrOff[j]:nbrOff[j+1]]
-			} else {
-				other = pref[int(j)*k : int(j)*k+int(nbrOff[j+1])]
+// markMutual sets keep bit e, for each preference entry e in [e0, e1),
+// iff the entry's pair is mutual: row i's entry j is kept iff row j,
+// uncompacted, holds i. An uncompacted row j holds i iff j ranked i, so
+// the check is exact. e0 is a multiple of 64, and so is e1 unless it
+// ends the array; each word of keep is stored once, whole.
+func markMutual(keep []uint64, pref, nbrOff []int32, k, e0, e1 int) {
+	var word uint64
+	for i := e0 / k; i*k < e1; i++ {
+		end := i*k + int(nbrOff[i+1])
+		for e := max(i*k, e0); e < min(i*k+k, e1); e++ {
+			if e < end {
+				j := int(pref[e])
+				if prefHas(pref[j*k:j*k+int(nbrOff[j+1])], int32(i)) {
+					word |= 1 << (e & 63)
+				}
 			}
-			if prefHas(other, int32(i)) {
-				pref[at] = j
-				at++
+			if e&63 == 63 {
+				keep[e>>6] = word
+				word = 0
 			}
 		}
-		nbrOff[i+1] = at
 	}
-	w.nbrOff = nbrOff
-	w.nbrs = pref[:at:at]
+	if e1&63 != 0 {
+		keep[e1>>6] = word
+	}
 }
 
 // nearest fills top, which must be empty with capacity k, with the best

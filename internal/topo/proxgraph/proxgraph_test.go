@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -217,19 +218,7 @@ func worldHash(w *World) string {
 // If a future change alters worlds ON PURPOSE, re-pin by running with
 // -run TestWorldGoldenBytes -v and copying the printed hashes.
 func TestWorldGoldenBytes(t *testing.T) {
-	cases := []struct {
-		name  string
-		cfg   Config
-		edges int
-		want  string
-	}{
-		{"default-radius", Config{Nodes: 20_000, Degree: 8, Sensors: 200, Seed: 1}, 67787, "4cb2f6c8409614f5903a0a350f166fe5f7c47c6a33896583ff47a736768c6582"},
-		{"grid-cap", Config{Nodes: 100_000, Degree: 4, Radius: 2.4e-4, Sensors: 50, Seed: 2}, 951, "1b9e702d42957214fab033b5f2bba49dd53379b09226230120f758e77f8b5195"},
-		{"single-cell", Config{Nodes: 300, Degree: 6, Radius: 1.5, Sensors: 10, Seed: 3}, 740, "6617b8eebdff60c8f5559ae16d8d9cb3aed2ddfab1b505c94971e926dc59f013"},
-		{"degree-over-candidates", Config{Nodes: 50, Degree: 60, Sensors: 5, Seed: 4}, 1224, "5d521c81274d254c671181275ad87eb9a51c5bd97772cbd5c7bf34254d8ae061"},
-		{"two-nodes", Config{Nodes: 2, Degree: 1, Seed: 5}, 1, "0c57067a38b2d41cc6dd2512727f5725b63874b07471d9a80bd6a8116095e321"},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenWorlds {
 		w := mustWorld(t, tc.cfg)
 		got := worldHash(w)
 		t.Logf("%s: edges %d hash %s", tc.name, w.Edges(), got)
@@ -237,6 +226,70 @@ func TestWorldGoldenBytes(t *testing.T) {
 			t.Errorf("%s: edges %d hash %s, want edges %d hash %s", tc.name, w.Edges(), got, tc.edges, tc.want)
 		}
 	}
+}
+
+// goldenWorlds are TestWorldGoldenBytes's pinned worlds.
+var goldenWorlds = []struct {
+	name  string
+	cfg   Config
+	edges int
+	want  string
+}{
+	{"default-radius", Config{Nodes: 20_000, Degree: 8, Sensors: 200, Seed: 1}, 67787, "4cb2f6c8409614f5903a0a350f166fe5f7c47c6a33896583ff47a736768c6582"},
+	{"grid-cap", Config{Nodes: 100_000, Degree: 4, Radius: 2.4e-4, Sensors: 50, Seed: 2}, 951, "1b9e702d42957214fab033b5f2bba49dd53379b09226230120f758e77f8b5195"},
+	{"single-cell", Config{Nodes: 300, Degree: 6, Radius: 1.5, Sensors: 10, Seed: 3}, 740, "6617b8eebdff60c8f5559ae16d8d9cb3aed2ddfab1b505c94971e926dc59f013"},
+	{"degree-over-candidates", Config{Nodes: 50, Degree: 60, Sensors: 5, Seed: 4}, 1224, "5d521c81274d254c671181275ad87eb9a51c5bd97772cbd5c7bf34254d8ae061"},
+	{"two-nodes", Config{Nodes: 2, Degree: 1, Seed: 5}, 1, "0c57067a38b2d41cc6dd2512727f5725b63874b07471d9a80bd6a8116095e321"},
+}
+
+// TestLinkBandsByteIdentical builds worlds on every band count in
+// {2, 3, 4, 7, 16} and requires the CSR that one band builds, whatever
+// the host's core count: every golden world, the brute-force oracle's
+// random worlds, a world with fewer grid rows than most of those band
+// counts, and one whose band cuts fall on empty rows. The last has its
+// nodes in two strips, cell rows 0 and 5 of an 11-row grid, so its
+// 3-band cuts fall on rows 1 and 6, both empty, and its last band holds
+// only empty rows.
+func TestLinkBandsByteIdentical(t *testing.T) {
+	check := func(name string, cfg Config, xs, ys []float64) {
+		t.Helper()
+		cfg.Nodes = len(xs)
+		ref := build(cfg, xs, ys, 1)
+		for _, bands := range []int{2, 3, 4, 7, 16} {
+			w := build(cfg, xs, ys, bands)
+			if !slices.Equal(w.nbrOff, ref.nbrOff) || !slices.Equal(w.nbrs, ref.nbrs) {
+				t.Fatalf("%s (%+v): %d bands build another CSR than one band", name, cfg, bands)
+			}
+		}
+	}
+	for _, tc := range goldenWorlds {
+		xs, ys := place(tc.cfg)
+		check(tc.name, tc.cfg, xs, ys)
+	}
+	randomWorlds(check)
+
+	few := Config{Nodes: 40, Degree: 3, Radius: 0.4, Seed: 6}
+	if gw := gridWidth(few.Radius, few.Nodes); gw != 3 {
+		t.Fatalf("few-rows world has a %d-wide grid, want 3", gw)
+	}
+	xs, ys := place(few)
+	check("few-rows", few, xs, ys)
+
+	const radius = 0.1
+	r := rng.NewXoshiroStream(19, 0, 0)
+	xs, ys = nil, nil
+	for i := 0; i < 400; i++ {
+		xs = append(xs, r.Float64())
+		ys = append(ys, r.Float64()*0.08+float64(i%2)*0.46) // rows 0 and 5
+	}
+	g := newGrid(xs, ys, gridWidth(radius, len(xs)))
+	rowStart := func(row int) int32 { return g.off[row*g.gw] }
+	if cuts := bandCuts(g, 3); g.gw != 11 || !slices.Equal(cuts, []int{0, 1, 6, 11}) ||
+		rowStart(1) != 200 || rowStart(5) != 200 || rowStart(6) != 400 {
+		t.Fatalf("strip world: %d-wide grid, 3-band cuts %v, rows 1, 5 and 6 start at %d, %d and %d; want 11, [0 1 6 11], 200, 200, 400",
+			g.gw, cuts, rowStart(1), rowStart(5), rowStart(6))
+	}
+	check("empty-row-cuts", Config{Degree: 5, Radius: radius}, xs, ys)
 }
 
 // BenchmarkGraph1MWorld builds the graph-1m benchmark's world — 10⁶

@@ -15,6 +15,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -76,10 +77,35 @@ func TestTypedLayerCoversRepository(t *testing.T) {
 	}
 }
 
-// stdlibMethods are method names the standard library calls through its
+// stdlibMethods are the methods the standard library calls through its
 // own interfaces (fmt.Stringer, error, errors.Unwrap, types.Importer),
-// which the call graph cannot see.
-var stdlibMethods = map[string]bool{"String": true, "Error": true, "Unwrap": true, "Import": true}
+// which the call graph cannot see: each name maps to the signatures, in
+// methodShape's form, that satisfy the interface method.
+var stdlibMethods = map[string][]string{
+	"String": {"() (string)"},
+	"Error":  {"() (string)"},
+	"Unwrap": {"() (error)", "() ([]error)"},
+	"Import": {"(string) (*go/types.Package, error)"},
+}
+
+// methodShape spells fn's parameter and result types, without names or
+// receiver: "(string) (*go/types.Package, error)". A variadic method
+// gets a trailing "...", so it matches none of stdlibMethods.
+func methodShape(fn *types.Func) string {
+	sig := fn.Type().(*types.Signature)
+	list := func(t *types.Tuple) string {
+		parts := make([]string, t.Len())
+		for i := range parts {
+			parts[i] = types.TypeString(t.At(i).Type(), nil)
+		}
+		return "(" + strings.Join(parts, ", ") + ")"
+	}
+	shape := list(sig.Params()) + " " + list(sig.Results())
+	if sig.Variadic() {
+		shape += "..."
+	}
+	return shape
+}
 
 // testInputs are non-test functions that no entry point calls but a test
 // of other code uses as an oracle or as input; each names that test (or
@@ -104,7 +130,8 @@ var testInputs = map[string]string{
 // lingering as a representation nothing runs. The roots are every main
 // and init, every function a package-level var initializer names, every
 // exported function of the root package (the library facade), methods
-// the standard library calls by name, and testInputs.
+// the standard library calls through its interfaces (stdlibMethods,
+// matched by name and signature), and testInputs.
 func TestEveryFunctionHasARoot(t *testing.T) {
 	prog := loadRepo(t)
 	g := prog.CallGraph()
@@ -114,7 +141,7 @@ func TestEveryFunctionHasARoot(t *testing.T) {
 		byName[n.Name()] = n
 		name, method := n.Obj.Name(), n.Decl.Recv != nil
 		switch {
-		case method && stdlibMethods[name],
+		case method && slices.Contains(stdlibMethods[name], methodShape(n.Obj)),
 			!method && (name == "init" || name == "main" && n.Pkg.Name == "main"),
 			!method && n.Pkg.Rel == "." && token.IsExported(name):
 			roots = append(roots, n)
