@@ -351,13 +351,15 @@ func BenchmarkFlightRecorderOverhead(b *testing.B) {
 func BenchmarkRunFastCodeRedIIParallel(b *testing.B) { benchRunFastCodeRedII(b, nil, false, 0) }
 
 // benchRunFastInternetScale drives a CodeRedII outbreak over an
-// internet-scale synthetic population to half prevalence — the §14 scale
+// internet-scale synthetic population to its stop target — the §14 scale
 // contract's headline workload. Population synthesis sits outside the
 // timed region; the measured run covers group-run set-up, the bitset
-// live index, and the event-driven tick loop, on seed driverBenchSeed
-// every iteration. Skipped under -short (the 10⁸-host population alone
-// holds multiple GiB).
-func benchRunFastInternetScale(b *testing.B, size, stop int) {
+// live index, and the event-driven tick loop. want maps each sim seed to
+// run to its pinned resultDigest; a nil want runs seed driverBenchSeed
+// unchecked. Workers is 0, so a run at -cpu N also pins the result's
+// independence of the worker count. Skipped under -short (the
+// 10⁸-host population alone holds multiple GiB).
+func benchRunFastInternetScale(b *testing.B, size, stop int, want map[uint64]string) {
 	b.Helper()
 	if testing.Short() {
 		b.Skip("internet-scale workload skipped under -short")
@@ -366,37 +368,61 @@ func benchRunFastInternetScale(b *testing.B, size, stop int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	seeds := []uint64{driverBenchSeed}
+	if want != nil {
+		seeds = seeds[:0]
+		for seed := range want {
+			seeds = append(seeds, seed)
+		}
+		slices.Sort(seeds)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunFast(sim.FastConfig{
-			Pop:              pop,
-			Model:            sim.NewCodeRedIIModel(),
-			ScanRate:         200,
-			TickSeconds:      1,
-			MaxSeconds:       600,
-			SeedHosts:        25,
-			Seed:             driverBenchSeed,
-			StopWhenInfected: stop,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Final.Infected < stop {
-			b.Fatalf("outbreak stalled at %d/%d infected", res.Final.Infected, stop)
+		for _, seed := range seeds {
+			res, err := sim.RunFast(sim.FastConfig{
+				Pop:              pop,
+				Model:            sim.NewCodeRedIIModel(),
+				ScanRate:         200,
+				TickSeconds:      1,
+				MaxSeconds:       600,
+				SeedHosts:        25,
+				Seed:             seed,
+				StopWhenInfected: stop,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Final.Infected < stop {
+				b.Fatalf("seed %d: outbreak stalled at %d/%d infected", seed, res.Final.Infected, stop)
+			}
+			if want == nil {
+				continue
+			}
+			b.StopTimer()
+			if got := resultDigest(res); got != want[seed] {
+				b.Fatalf("seed %d: digest %s; want %s", seed, got, want[seed])
+			}
+			b.StartTimer()
 		}
 	}
 }
 
 // The 10⁷-host leg runs the epidemic to half prevalence (the full logistic
-// including its dense-/16 saturation tail); the 10⁸-host leg stops at ten
-// million infections, which pins per-infection cost at full address-space
-// scale while keeping one iteration's run time bounded.
+// including its dense-/16 saturation tail) at sim seeds 1 and 2, and fails
+// unless each run's resultDigest matches the value captured before the
+// quiescent-tick path was deleted: byte identity of the IPv4 fast driver
+// at 10⁷ hosts. The 10⁸-host leg stops at ten million infections, which
+// pins per-infection cost at full address-space scale while keeping one
+// iteration's run time bounded.
 func BenchmarkRunFastInternetScale10M(b *testing.B) {
-	benchRunFastInternetScale(b, 10_000_000, 5_000_000)
+	benchRunFastInternetScale(b, 10_000_000, 5_000_000, map[uint64]string{
+		1: "84f0a40897cd2c5a8331d0b7a60043f69ddf8e98bafe99e26f28ade3394480bf",
+		2: "ce92b8f0ae718904b2027a970db74b74ae452ec4a78d134933ff2f1deb1909d0",
+	})
 }
 
 func BenchmarkRunFastInternetScale100M(b *testing.B) {
-	benchRunFastInternetScale(b, 100_000_000, 10_000_000)
+	benchRunFastInternetScale(b, 100_000_000, 10_000_000, nil)
 }
 
 // BenchmarkProxGraphNew prices proxgraph.New on its own: the same
