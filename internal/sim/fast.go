@@ -39,18 +39,12 @@ type FastConfig struct {
 	// Seed drives all randomness.
 	Seed uint64
 	// Workers is the number of phase-1 draw goroutines per tick (0 means
-	// GOMAXPROCS, 1 runs the draws inline). Results are byte-identical for
+	// GOMAXPROCS, 1 runs the draws inline). Every tick takes the same
+	// path at every worker count, and results are byte-identical for
 	// every worker count: each mixture group's draws come from its own
 	// per-(group, tick) RNG stream and merge in group-creation order
 	// (DESIGN.md §14).
 	Workers int
-	// DisableTickSkip forces every tick of the IPv4 driver through the
-	// two-phase draw path, bypassing the serial quiescent-tick fast path.
-	// Output is byte-identical either way — the fast path consumes
-	// exactly the same per-group RNG draws — so the switch exists for
-	// tests and cross-checks, not for correctness. The graph driver has
-	// no quiescent-tick path and ignores it.
-	DisableTickSkip bool
 	// LossRate is the environmental probe-loss probability.
 	LossRate float64
 	// BlockedDst is destination space hard-blocked upstream (probes there
@@ -161,15 +155,6 @@ func checkSlotCeiling(hosts int) error {
 	}
 	return nil
 }
-
-// fastSkipLambda gates the quiescent-tick fast path: when the run's total
-// expected arrivals this tick fall at or below it, the per-group gate
-// draws run serially against the cached intensities instead of through the
-// two-phase worker machinery. The threshold only picks the execution path
-// — both paths consume identical RNG draws — so it affects speed, never
-// output (and keeps every per-group λ far below the λ≥30 normal-
-// approximation switch inside rng.Poisson).
-const fastSkipLambda = 1.0
 
 // slotSpan is a half-open slot range [Lo, Hi) — topo.Span, which
 // topo.VictimSpans constructs; the driver keeps the local alias because
@@ -353,8 +338,7 @@ type fastState struct {
 // merges the buffered events serially in group order: repeated ranks
 // resolve first-group-wins, exactly as a serial pass would, the winners
 // resolve to slots in parallel, and the infections land serially. Results
-// are byte-identical for every worker count and for the quiescent-tick
-// fast path (DESIGN.md §14).
+// are byte-identical for every worker count (DESIGN.md §14).
 func RunFast(cfg FastConfig) (*Result, error) {
 	if cfg.Topology != nil {
 		return runFastGraph(cfg, cfg.Topology)
@@ -433,14 +417,7 @@ func RunFast(cfg FastConfig) (*Result, error) {
 		// index. Infections land in phase 2, so the workers' shared reads
 		// are race-free. Shards are cut at equal cumulative λ: groups are
 		// listed in infection order, and the oldest hold nearly all of it.
-		// A quiescent tick draws serially: one gate draw per group decides
-		// whether it fires at all — the Poisson squeeze generalized to the
-		// whole group-tick — with no worker dispatch and, in the common
-		// all-zero case, no event machinery at all.
 		nShards := shardCount(l.workers, len(st.groupList))
-		if !cfg.DisableTickSkip && st.lamTotal <= fastSkipLambda {
-			nShards = 1
-		}
 		bounds = cutShards(bounds, st.lam, st.lamTotal, nShards)
 		fanOut(bounds, func(wi, lo, hi int) {
 			bufs[wi] = st.drawShard(bufs[wi], lo, hi, step)
@@ -824,19 +801,18 @@ func (st *fastState) stampKills() {
 // touches dirty, or re-evaluate them all.
 //
 // probesTotal is the in-order sum of infected·perHost, so it stays exact.
-// lamTotal is the in-order sum of the stored bounds. It steers only the
-// tick-skip path choice and cutShards, neither of which can change output,
-// but cutShards balances the shards only when it is the sum of the very
-// lam column it cuts: a running total that drifts above that sum, as one
+// lamTotal is the in-order sum of the stored bounds. It steers only
+// cutShards, which cannot change output, but cutShards balances the
+// shards only when it is the sum of the very lam column it cuts: a running total that drifts above that sum, as one
 // kept by adding each evaluation's change does once drawGroup's lazy
 // evaluations lower terms, leaves the later shards nearly empty.
 func (st *fastState) rebuildRates(tickDeliver float64) {
-	st.lam = growFloats(st.lam, len(st.groupList))
-	st.groupProbes = growFloats(st.groupProbes, len(st.groupList))
-	st.catRate = growFloats(st.catRate, len(st.comps))
-	st.catSens = growFloats(st.catSens, len(st.comps))
-	st.catLive = growInts(st.catLive, len(st.comps))
-	st.catRank = growInts(st.catRank, len(st.comps))
+	st.lam = grow(st.lam, len(st.groupList))
+	st.groupProbes = grow(st.groupProbes, len(st.groupList))
+	st.catRate = grow(st.catRate, len(st.comps))
+	st.catSens = grow(st.catSens, len(st.comps))
+	st.catLive = grow(st.catLive, len(st.comps))
+	st.catRank = grow(st.catRank, len(st.comps))
 	st.rateStamp++
 	st.live.refresh()
 	st.killSort.sort(st.killsTick)
@@ -960,23 +936,14 @@ func prefixSums(counts []int32) {
 	}
 }
 
-// growFloats and growInts extend a per-group/per-comp cache array,
-// preserving existing entries: unchanged groups skip recomputation in
-// rebuildRates and keep reading their prior values in place.
-func growFloats(s []float64, n int) []float64 {
+// grow extends a per-group/per-comp cache array to n entries, preserving
+// existing ones: unchanged groups skip recomputation in rebuildRates and
+// keep reading their prior values in place.
+func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	ns := make([]float64, n, n+n/2+8)
-	copy(ns, s)
-	return ns
-}
-
-func growInts(s []int64, n int) []int64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	ns := make([]int64, n, n+n/2+8)
+	ns := make([]T, n, n+n/2+8)
 	copy(ns, s)
 	return ns
 }

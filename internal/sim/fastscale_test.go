@@ -15,11 +15,10 @@ import (
 )
 
 // These tests enforce the internet-scale fast driver's tentpole guarantee:
-// Workers and the quiescent-tick fast path are throughput knobs, never
-// semantics knobs. For a fixed seed, every worker count and both tick-skip
-// settings must yield byte-identical results — Result series, per-host
-// infection times, cumulative outcome tallies, sensor-fleet state, and the
-// complete flight-recorder event stream.
+// Workers is a throughput knob, never a semantics knob. For a fixed seed,
+// every worker count must yield byte-identical results — Result series,
+// per-host infection times, cumulative outcome tallies, sensor-fleet
+// state, and the complete flight-recorder event stream.
 
 // serializeFastRun renders everything a fast run produced, including the
 // trace NDJSON (which pins infection order and component attribution).
@@ -51,7 +50,7 @@ func serializeFastRun(t *testing.T, res *Result, fleet *detect.ThresholdFleet, r
 // hard-blocked /8, a sensor fleet, a fault plan with an outage, bursty
 // loss, and delayed/duplicated reporting, plus a containment policy that
 // engages mid-run — and serializes everything.
-func runFastLoaded(t *testing.T, workers int, noskip bool) string {
+func runFastLoaded(t *testing.T, workers int) string {
 	t.Helper()
 	pop := smallPop(t, 600, 77)
 	if err := pop.AssignNAT(0.3, 8, 5); err != nil {
@@ -76,22 +75,21 @@ func runFastLoaded(t *testing.T, workers int, noskip bool) string {
 	var clock obs.SimClock
 	ticks := 0
 	res, err := RunFast(FastConfig{
-		Pop:             pop,
-		Model:           NewCodeRedIIModel(),
-		ScanRate:        500,
-		TickSeconds:     1,
-		MaxSeconds:      40,
-		SeedHosts:       10,
-		Seed:            4242,
-		Workers:         workers,
-		DisableTickSkip: noskip,
-		LossRate:        0.05,
-		BlockedDst:      ipv4.SetOfPrefixes(ipv4.MustParsePrefix("20.0.0.0/8")),
-		Sensors:         fleet,
-		SensorSet:       fleet.Union(),
-		Faults:          plan,
-		Trace:           rec,
-		Clock:           &clock,
+		Pop:         pop,
+		Model:       NewCodeRedIIModel(),
+		ScanRate:    500,
+		TickSeconds: 1,
+		MaxSeconds:  40,
+		SeedHosts:   10,
+		Seed:        4242,
+		Workers:     workers,
+		LossRate:    0.05,
+		BlockedDst:  ipv4.SetOfPrefixes(ipv4.MustParsePrefix("20.0.0.0/8")),
+		Sensors:     fleet,
+		SensorSet:   fleet.Union(),
+		Faults:      plan,
+		Trace:       rec,
+		Clock:       &clock,
 		Containment: &Containment{
 			Trigger: func() bool { ticks++; return ticks >= 12 },
 			Drop:    0.4,
@@ -104,9 +102,9 @@ func runFastLoaded(t *testing.T, workers int, noskip bool) string {
 }
 
 func TestRunFastWorkersByteIdentical(t *testing.T) {
-	want := runFastLoaded(t, 1, false)
+	want := runFastLoaded(t, 1)
 	for _, workers := range []int{2, 4, 8} {
-		if got := runFastLoaded(t, workers, false); got != want {
+		if got := runFastLoaded(t, workers); got != want {
 			t.Errorf("Workers=%d diverged from Workers=1:\n--- workers=1 ---\n%.2000s\n--- workers=%d ---\n%.2000s",
 				workers, want, workers, got)
 		}
@@ -117,51 +115,37 @@ func TestRunFastWorkersByteIdentical(t *testing.T) {
 // also match the serial path — the default configuration is not a separate
 // code path with separate semantics.
 func TestRunFastWorkersDefault(t *testing.T) {
-	if got, want := runFastLoaded(t, 0, false), runFastLoaded(t, 1, false); got != want {
+	if got, want := runFastLoaded(t, 0), runFastLoaded(t, 1); got != want {
 		t.Error("Workers=0 (GOMAXPROCS default) diverged from Workers=1")
 	}
 }
 
-// TestRunFastTickSkipByteIdentical: the quiescent-tick fast path consumes
-// exactly the RNG draws the two-phase path would, so forcing every tick
-// through the two-phase path (DisableTickSkip) must not change a byte —
-// under both serial and parallel workers.
-func TestRunFastTickSkipByteIdentical(t *testing.T) {
-	want := runFastLoaded(t, 1, false)
-	for _, workers := range []int{1, 4} {
-		if got := runFastLoaded(t, workers, true); got != want {
-			t.Errorf("DisableTickSkip with Workers=%d diverged from the default path", workers)
-		}
-	}
-}
-
-// TestRunFastQuiescentSkipByteIdentical exercises a scenario that is
+// TestRunFastQuiescentWorkersByteIdentical exercises a scenario that is
 // mostly quiescent — a tiny scan rate against sparse space, where nearly
-// every tick takes the gate-only fast path — and pins it against the
-// forced two-phase path. The skipped ticks' rows must still be emitted,
-// unchanged.
-func TestRunFastQuiescentSkipByteIdentical(t *testing.T) {
-	run := func(workers int, noskip bool) string {
+// every tick's total λ is close to 0 — on four workers against one. Four
+// workers cut those ticks with cutShards, which puts every group of a
+// zero-λ tick in the last shard and leaves the others empty; the quiet
+// ticks' rows must still be emitted, unchanged.
+func TestRunFastQuiescentWorkersByteIdentical(t *testing.T) {
+	run := func(workers int) string {
 		pop := smallPop(t, 300, 21)
 		rec := trace.NewRecorder(0)
 		res, err := RunFast(FastConfig{
 			Pop: pop, Model: NewCodeRedIIModel(),
 			ScanRate: 2, TickSeconds: 1, MaxSeconds: 600, SeedHosts: 3, Seed: 7,
-			Workers: workers, DisableTickSkip: noskip, Trace: rec,
+			Workers: workers, Trace: rec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return serializeFastRun(t, res, nil, rec)
 	}
-	want := run(1, false)
+	want := run(1)
 	if len(strings.Split(want, "\n")) < 600 {
-		t.Fatal("fixture not quiescent enough to exercise the fast path")
+		t.Fatal("fixture not quiescent enough to run all 600 ticks")
 	}
-	for _, workers := range []int{1, 4} {
-		if got := run(workers, true); got != want {
-			t.Errorf("quiescent run diverged (workers=%d, noskip)", workers)
-		}
+	if got := run(4); got != want {
+		t.Error("quiescent run on 4 workers diverged from 1")
 	}
 }
 

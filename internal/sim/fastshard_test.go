@@ -11,9 +11,10 @@ import (
 )
 
 // TestCutShardsProperties pins the phase-1 shard cut's contract on the λ
-// shapes the driver meets: no groups, all-quiescent groups (reachable with
-// DisableTickSkip), the infection-ordered front-loaded skew of a real
-// outbreak, and one group holding more than a shard's share.
+// shapes the driver meets at two or more workers: no groups,
+// all-quiescent groups (a burnt-out run's ticks), the infection-ordered
+// front-loaded skew of a real outbreak, and one group holding more than a
+// shard's share.
 func TestCutShardsProperties(t *testing.T) {
 	r := rng.NewXoshiro(7)
 	random := make([]float64, 500)
@@ -70,7 +71,7 @@ func TestCutShardsProperties(t *testing.T) {
 // prevalence with a flight recorder attached. The run grows to ~70 groups
 // with uneven λ: on 110 of its 116 two-shard ticks the equal-λ cut falls
 // elsewhere than the equal-count split would.
-func runFastSkewed(t *testing.T, pop *population.Population, workers int, noskip bool) string {
+func runFastSkewed(t *testing.T, pop *population.Population, workers int) string {
 	t.Helper()
 	rec := trace.NewRecorder(0)
 	res, err := RunFast(FastConfig{
@@ -82,7 +83,6 @@ func runFastSkewed(t *testing.T, pop *population.Population, workers int, noskip
 		SeedHosts:        5,
 		Seed:             31,
 		Workers:          workers,
-		DisableTickSkip:  noskip,
 		Trace:            rec,
 		StopWhenInfected: pop.Size() / 2,
 	})
@@ -100,12 +100,10 @@ func TestRunFastSkewedWorkersByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runFastSkewed(t, pop, 1, false)
-	for _, noskip := range []bool{false, true} {
-		for _, workers := range []int{2, 4, 8} {
-			if got := runFastSkewed(t, pop, workers, noskip); got != want {
-				t.Errorf("Workers=%d DisableTickSkip=%v diverged from Workers=1", workers, noskip)
-			}
+	want := runFastSkewed(t, pop, 1)
+	for _, workers := range []int{2, 4, 8} {
+		if got := runFastSkewed(t, pop, workers); got != want {
+			t.Errorf("Workers=%d diverged from Workers=1", workers)
 		}
 	}
 }

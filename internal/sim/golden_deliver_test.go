@@ -23,7 +23,7 @@ var goldenDeliverSwing = [...]string{
 	3: "8969e2ebe565af44b8077373614ffea4341aa9c7d7c785e7a2740026973431cc",
 }
 
-func deliverSwingRun(t *testing.T, seed uint64, workers int, noskip bool) string {
+func deliverSwingRun(t *testing.T, seed uint64, workers int) string {
 	t.Helper()
 	pop := smallPop(t, 4000, 17)
 	if err := pop.AssignNAT(0.3, 4, 9); err != nil {
@@ -38,17 +38,16 @@ func deliverSwingRun(t *testing.T, seed uint64, workers int, noskip bool) string
 	}
 	rec := trace.NewRecorder(0)
 	res, err := RunFast(FastConfig{
-		Pop:             pop,
-		Model:           NewCodeRedIIModel(),
-		ScanRate:        2000,
-		TickSeconds:     1,
-		MaxSeconds:      120,
-		SeedHosts:       5,
-		Seed:            seed,
-		Workers:         workers,
-		DisableTickSkip: noskip,
-		Faults:          plan,
-		Trace:           rec,
+		Pop:         pop,
+		Model:       NewCodeRedIIModel(),
+		ScanRate:    2000,
+		TickSeconds: 1,
+		MaxSeconds:  120,
+		SeedHosts:   5,
+		Seed:        seed,
+		Workers:     workers,
+		Faults:      plan,
+		Trace:       rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,12 +59,10 @@ func TestFastDeliverSwingGolden(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			for _, workers := range []int{1, 4} {
-				for _, noskip := range []bool{false, true} {
-					got := goldenHash(deliverSwingRun(t, seed, workers, noskip))
-					t.Logf("seed=%d workers=%d noskip=%v hash %s", seed, workers, noskip, got)
-					if got != goldenDeliverSwing[seed] {
-						t.Errorf("seed=%d workers=%d noskip=%v: hash %s, pinned %s", seed, workers, noskip, got, goldenDeliverSwing[seed])
-					}
+				got := goldenHash(deliverSwingRun(t, seed, workers))
+				t.Logf("seed=%d workers=%d hash %s", seed, workers, got)
+				if got != goldenDeliverSwing[seed] {
+					t.Errorf("seed=%d workers=%d: hash %s, pinned %s", seed, workers, got, goldenDeliverSwing[seed])
 				}
 			}
 		})

@@ -93,10 +93,9 @@ func checkGraphGolden(t *testing.T, res *Result, err error, rec *trace.Recorder,
 }
 
 // TestGraphGoldenByteIdentity holds both graph drivers to pinned output
-// hashes: the exact driver on 1 and 4 workers, the fast driver on 1 and
-// 4 workers with DisableTickSkip off and on (the graph driver has no
-// quiescent-tick path, so both take the same one). Every variant of a
-// driver must reproduce the same hash. Run with -v to see the hashes.
+// hashes: the exact driver and the fast driver, each on 1 and 4 workers.
+// Every variant of a driver must reproduce the same hash. Run with -v to
+// see the hashes.
 func TestGraphGoldenByteIdentity(t *testing.T) {
 	for _, wc := range goldenGraphWorlds {
 		g := goldenGraphWorld(t, wc.cfg)
@@ -108,15 +107,13 @@ func TestGraphGoldenByteIdentity(t *testing.T) {
 					Workers: workers, Trace: rec})
 				checkGraphGolden(t, res, err, rec, wc.exact)
 			})
-			for _, noskip := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/fast-workers%d-noskip=%v", wc.name, workers, noskip), func(t *testing.T) {
-					rec := trace.NewRecorder(0)
-					res, err := RunFast(FastConfig{Topology: g, ScanRate: 2, TickSeconds: 1,
-						MaxSeconds: goldenGraphMaxSeconds, SeedHosts: wc.seedHosts, Seed: 4242,
-						Workers: workers, DisableTickSkip: noskip, Trace: rec})
-					checkGraphGolden(t, res, err, rec, wc.fast)
-				})
-			}
+			t.Run(fmt.Sprintf("%s/fast-workers%d", wc.name, workers), func(t *testing.T) {
+				rec := trace.NewRecorder(0)
+				res, err := RunFast(FastConfig{Topology: g, ScanRate: 2, TickSeconds: 1,
+					MaxSeconds: goldenGraphMaxSeconds, SeedHosts: wc.seedHosts, Seed: 4242,
+					Workers: workers, Trace: rec})
+				checkGraphGolden(t, res, err, rec, wc.fast)
+			})
 		}
 	}
 }

@@ -21,8 +21,7 @@ import (
 //   - hitlist-nat: HitListModel keys every host to 0, so every slot,
 //     public hosts and NAT sites alike, is in one run.
 //
-// Each scenario runs at Workers 1 and 4, with tick skipping on and off,
-// and all four variants must hash the same.
+// Each scenario runs at Workers 1 and 4, and both must hash the same.
 const (
 	goldenRunsLocalPrefNAT = "eda6bb660ead39c2d094bc677be28850965ac3f1b0eae22a7d1fb5057c959dff"
 	goldenRunsHitListNAT   = "d94ae70c5efbc457f305d174134e74234290c63eb7e8ce8eaf59b1a46757e937"
@@ -39,21 +38,20 @@ func runsPop(t *testing.T) *population.Population {
 	return pop
 }
 
-func runsGoldenRun(t *testing.T, model RateModel, workers int, noskip bool) string {
+func runsGoldenRun(t *testing.T, model RateModel, workers int) string {
 	t.Helper()
 	rec := trace.NewRecorder(0)
 	res, err := RunFast(FastConfig{
-		Pop:             runsPop(t),
-		Model:           model,
-		ScanRate:        400,
-		TickSeconds:     1,
-		MaxSeconds:      60,
-		SeedHosts:       120,
-		Seed:            515,
-		Workers:         workers,
-		DisableTickSkip: noskip,
-		LossRate:        0.02,
-		Trace:           rec,
+		Pop:         runsPop(t),
+		Model:       model,
+		ScanRate:    400,
+		TickSeconds: 1,
+		MaxSeconds:  60,
+		SeedHosts:   120,
+		Seed:        515,
+		Workers:     workers,
+		LossRate:    0.02,
+		Trace:       rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,12 +90,10 @@ func TestFastGroupRunsGoldenByteIdentity(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 4} {
-				for _, noskip := range []bool{false, true} {
-					got := goldenHash(runsGoldenRun(t, tc.model(t), workers, noskip))
-					t.Logf("%s workers=%d noskip=%v hash %s", tc.name, workers, noskip, got)
-					if got != tc.want {
-						t.Errorf("%s workers=%d noskip=%v: hash %s, pinned %s", tc.name, workers, noskip, got, tc.want)
-					}
+				got := goldenHash(runsGoldenRun(t, tc.model(t), workers))
+				t.Logf("%s workers=%d hash %s", tc.name, workers, got)
+				if got != tc.want {
+					t.Errorf("%s workers=%d: hash %s, pinned %s", tc.name, workers, got, tc.want)
 				}
 			}
 		})

@@ -63,18 +63,17 @@ func runExactGraphCase(t *testing.T, g topo.Graph, workers int, withTrace bool) 
 	return res, serializeGraphRun(t, res, rec)
 }
 
-func runFastGraphCase(t *testing.T, g topo.Graph, workers int, noskip, withTrace bool) (*Result, string) {
+func runFastGraphCase(t *testing.T, g topo.Graph, workers int, withTrace bool) (*Result, string) {
 	t.Helper()
 	rec := trace.NewRecorder(0)
 	cfg := FastConfig{
-		Topology:        g,
-		ScanRate:        2,
-		TickSeconds:     1,
-		MaxSeconds:      30,
-		SeedHosts:       5,
-		Seed:            4242,
-		Workers:         workers,
-		DisableTickSkip: noskip,
+		Topology:    g,
+		ScanRate:    2,
+		TickSeconds: 1,
+		MaxSeconds:  30,
+		SeedHosts:   5,
+		Seed:        4242,
+		Workers:     workers,
 	}
 	if withTrace {
 		cfg.Trace = rec
@@ -99,20 +98,15 @@ func TestRunExactGraphWorkersByteIdentical(t *testing.T) {
 	}
 }
 
-func TestRunFastGraphWorkersAndSkipByteIdentical(t *testing.T) {
+func TestRunFastGraphWorkersByteIdentical(t *testing.T) {
 	g := testGraph(t)
-	res, ref := runFastGraphCase(t, g, 1, false, true)
+	res, ref := runFastGraphCase(t, g, 1, true)
 	if res.Final.Infected <= 5 {
 		t.Fatal("fast graph outbreak never spread past the seeds; adjust the scenario")
 	}
-	for _, workers := range []int{1, 2, 4, 7} {
-		for _, noskip := range []bool{false, true} {
-			if workers == 1 && !noskip {
-				continue // the reference run itself
-			}
-			if _, got := runFastGraphCase(t, g, workers, noskip, true); got != ref {
-				t.Fatalf("workers=%d noskip=%v output differs from serial run", workers, noskip)
-			}
+	for _, workers := range []int{2, 4, 7} {
+		if _, got := runFastGraphCase(t, g, workers, true); got != ref {
+			t.Fatalf("workers=%d output differs from serial run", workers)
 		}
 	}
 }
@@ -124,8 +118,8 @@ func TestGraphTraceDoesNotPerturbRuns(t *testing.T) {
 	if exOn.Final != exOff.Final || len(exOn.Series) != len(exOff.Series) {
 		t.Fatal("exact graph driver perturbed by trace attachment")
 	}
-	fsOn, _ := runFastGraphCase(t, g, 4, false, true)
-	fsOff, _ := runFastGraphCase(t, g, 4, false, false)
+	fsOn, _ := runFastGraphCase(t, g, 4, true)
+	fsOff, _ := runFastGraphCase(t, g, 4, false)
 	if fsOn.Final != fsOff.Final || len(fsOn.Series) != len(fsOff.Series) {
 		t.Fatal("fast graph driver perturbed by trace attachment")
 	}
@@ -139,7 +133,7 @@ func TestGraphOutcomeConservation(t *testing.T) {
 			t.Fatalf("tick %d: outcomes total %d != probes %d", i, ti.Outcomes.Total(), ti.Probes)
 		}
 	}
-	fres, _ := runFastGraphCase(t, g, 3, false, false)
+	fres, _ := runFastGraphCase(t, g, 3, false)
 	for i, ti := range fres.Series {
 		if ti.Outcomes.Total() != ti.Probes {
 			t.Fatalf("fast tick %d: outcomes total %d != probes %d", i, ti.Outcomes.Total(), ti.Probes)

@@ -134,7 +134,7 @@ func CheckScenario(sc Scenario) (*Report, error) {
 	if a.graph != nil {
 		// Graph worlds get the fast driver's full self-contract audit —
 		// invariants, provenance trees over true infectors, and identity
-		// across worker counts and tick skipping — but no trajectory
+		// across worker counts — but no trajectory
 		// differential: replica seeds choose different seed nodes, and on
 		// a spatial world different outbreak origins legitimately produce
 		// different curves, so an envelope over replicas has no meaning.
@@ -184,8 +184,6 @@ func CheckScenario(sc Scenario) (*Report, error) {
 // checkFastIdentity audits the fast driver's own determinism contract: its
 // Workers count is a throughput knob, so re-running the first replica with
 // parallel workers must reproduce its serialized output byte for byte.
-// The parallel run also mixes one-shard quiescent ticks with N-shard
-// ticks, so the quiescent-tick path is held to the serial run too.
 func checkFastIdentity(rep *Report, sc *Scenario, a *artifacts, serial *runOutput) error {
 	fw := sc.FastWorkers
 	if fw < 2 {
