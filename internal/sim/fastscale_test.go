@@ -121,31 +121,39 @@ func TestRunFastWorkersDefault(t *testing.T) {
 }
 
 // TestRunFastQuiescentWorkersByteIdentical exercises a scenario that is
-// mostly quiescent — a tiny scan rate against sparse space, where nearly
-// every tick's total λ is close to 0 — on four workers against one. Four
+// mostly quiescent — a small scan rate against sparse space, where every
+// tick's total λ is close to 0 — on four workers against one. Four
 // workers cut those ticks with cutShards, which puts every group of a
-// zero-λ tick in the last shard and leaves the others empty; the quiet
-// ticks' rows must still be emitted, unchanged.
+// zero-λ tick in the last shard. At 2 probes/s no infection lands in 600
+// ticks, so the quiet ticks' rows must still be emitted, unchanged; at
+// 100 probes/s about 30 scattered ticks each infect a host, drawn by
+// whichever group's near-zero λ fired, so a quiet tick whose merge
+// dropped a shard, or whose cut dropped a group, shows.
 func TestRunFastQuiescentWorkersByteIdentical(t *testing.T) {
-	run := func(workers int) string {
+	run := func(rate float64, workers int) (string, int) {
 		pop := smallPop(t, 300, 21)
 		rec := trace.NewRecorder(0)
 		res, err := RunFast(FastConfig{
 			Pop: pop, Model: NewCodeRedIIModel(),
-			ScanRate: 2, TickSeconds: 1, MaxSeconds: 600, SeedHosts: 3, Seed: 7,
+			ScanRate: rate, TickSeconds: 1, MaxSeconds: 600, SeedHosts: 3, Seed: 7,
 			Workers: workers, Trace: rec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return serializeFastRun(t, res, nil, rec)
+		return serializeFastRun(t, res, nil, rec), res.Final.Infected
 	}
-	want := run(1)
-	if len(strings.Split(want, "\n")) < 600 {
-		t.Fatal("fixture not quiescent enough to run all 600 ticks")
-	}
-	if got := run(4); got != want {
-		t.Error("quiescent run on 4 workers diverged from 1")
+	for _, rate := range []float64{2, 100} {
+		want, infected := run(rate, 1)
+		if len(strings.Split(want, "\n")) < 600 {
+			t.Fatalf("rate %v: fixture not quiescent enough to run all 600 ticks", rate)
+		}
+		if rate > 2 && infected < 20 {
+			t.Fatalf("rate %v: only %d infected; the fixture must infect on quiet ticks", rate, infected)
+		}
+		if got, _ := run(rate, 4); got != want {
+			t.Errorf("rate %v: quiescent run on 4 workers diverged from 1", rate)
+		}
 	}
 }
 
