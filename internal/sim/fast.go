@@ -189,9 +189,11 @@ type fastGroup struct {
 	// λ and category rates; they are exact while stamp == rateStamp and
 	// an upper bound on the exact λ after that (see rebuildRates). dirty
 	// marks a group whose infected count changed since, which voids the
-	// bound until the next rebuild evaluates it.
+	// bound until the next rebuild evaluates it; idx is the group's index
+	// in groupList, which infectSlot queues on dirtyGroups.
 	stamp uint64
 	dirty bool
+	idx   int32
 }
 
 type compKey struct {
@@ -312,6 +314,9 @@ type fastState struct {
 	cachedDeliver float64
 	rateValid     bool
 	rateStamp     uint64 // rebuild counter, matching compData.stamp
+	// dirtyGroups lists, by groupList index, the groups marked dirty since
+	// the last rate rebuild.
+	dirtyGroups []int32
 	// killsTick accumulates the slots killed since the last rate rebuild;
 	// the rebuild sorts it and applies it to the pools it reaches.
 	killsTick []int32
@@ -520,14 +525,18 @@ func (st *fastState) infectSlot(slot int32) {
 		key := st.cfg.Model.GroupKey(h)
 		if g = st.groups[key]; g == nil {
 			off, cnt := st.buildComps(h)
-			g = &fastGroup{off: off, n: cnt, key: rng.StreamKey(st.cfg.Seed, uint64(len(st.groupList)))}
+			idx := len(st.groupList)
+			g = &fastGroup{off: off, n: cnt, key: rng.StreamKey(st.cfg.Seed, uint64(idx)), idx: int32(idx)}
 			st.groups[key] = g
 			st.groupList = append(st.groupList, g)
 		}
 		st.runGroup[r] = g
 	}
 	g.infected++
-	g.dirty = true
+	if !g.dirty {
+		g.dirty = true
+		st.dirtyGroups = append(st.dirtyGroups, g.idx)
+	}
 	st.rateValid = false
 }
 
@@ -778,9 +787,8 @@ func (st *fastState) stampKills() {
 // of them when tickDeliver moved. Every other group keeps its last exact
 // λ, which stays an upper bound on its current exact λ, and drawGroup
 // evaluates it only on a tick whose gate might fire. Apart from the live
-// index's O(blocks) refresh and one O(groups) pass that finds the dirty
-// groups and sums the columns, a rebuild costs O(kills + spans of the
-// pools they reach + dirty groups).
+// index's O(blocks) refresh and the probe sum's O(groups) pass, a rebuild
+// costs O(kills + spans of the pools they reach + dirty groups).
 //
 // The bound holds because, with a group's infected count p and the
 // delivery probability d fixed, its exact λ can only fall. Live counts only
@@ -814,18 +822,26 @@ func (st *fastState) rebuildRates(tickDeliver float64) {
 	//lint:ignore float-eq exact cache key: a group's bound holds only against the exact delivery float it was evaluated with
 	all := tickDeliver != st.cachedDeliver
 	st.cachedDeliver = tickDeliver
-	// One pass in group order evaluates the groups that need it and sums
-	// both columns after each group's evaluation, in locals so the sums
-	// stay in registers.
-	var probes, lamSum float64
-	for gi, g := range st.groupList {
-		if all || g.dirty {
+	if all {
+		for gi := range st.groupList {
 			st.evalGroup(gi)
 		}
-		probes += st.groupProbes[gi]
-		lamSum += st.lam[gi]
+	} else {
+		for _, gi := range st.dirtyGroups {
+			st.evalGroup(int(gi))
+		}
+	}
+	// Both sums run in group order over two dense columns, in locals so
+	// they stay in registers; the chains are independent, so the pass
+	// costs about one add latency per group.
+	var probes, lamSum float64
+	lam := st.lam[:len(st.groupProbes)]
+	for gi, p := range st.groupProbes {
+		probes += p
+		lamSum += lam[gi]
 	}
 	st.probesTotal, st.lamTotal = probes, lamSum
+	st.dirtyGroups = st.dirtyGroups[:0]
 	st.killsTick = st.killsTick[:0]
 	st.rateValid = true
 }
