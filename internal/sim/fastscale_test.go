@@ -121,8 +121,8 @@ func TestRunFastWorkersDefault(t *testing.T) {
 }
 
 // TestRunFastQuiescentWorkersByteIdentical exercises a scenario that is
-// mostly quiescent — a small scan rate against sparse space, where every
-// tick's total λ is close to 0 — on four workers against one. Four
+// mostly quiescent — a small scan rate against sparse space, where nearly
+// every tick's total λ is close to 0 — on four workers against one. Four
 // workers cut those ticks with cutShards, which puts every group of a
 // zero-λ tick in the last shard. At 2 probes/s no infection lands in 600
 // ticks, so the quiet ticks' rows must still be emitted, unchanged; at
