@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/topo"
 	"repro/internal/topo/proxgraph"
 	"repro/internal/trace"
@@ -96,6 +97,12 @@ func checkGraphGolden(t *testing.T, res *Result, err error, rec *trace.Recorder,
 // hashes: the exact driver and the fast driver, each on 1 and 4 workers.
 // Every variant of a driver must reproduce the same hash. Run with -v to
 // see the hashes.
+//
+// The fast cases keep their "-noskip=false" and "-noskip=true" names from
+// when FastConfig had a DisableTickSkip switch, so the case names stay
+// stable. The graph driver never had a quiescent-tick path, so the two
+// cases now differ in telemetry instead: noskip=true attaches a metrics
+// registry and a simulated clock, which must not change the output.
 func TestGraphGoldenByteIdentity(t *testing.T) {
 	for _, wc := range goldenGraphWorlds {
 		g := goldenGraphWorld(t, wc.cfg)
@@ -107,13 +114,19 @@ func TestGraphGoldenByteIdentity(t *testing.T) {
 					Workers: workers, Trace: rec})
 				checkGraphGolden(t, res, err, rec, wc.exact)
 			})
-			t.Run(fmt.Sprintf("%s/fast-workers%d", wc.name, workers), func(t *testing.T) {
-				rec := trace.NewRecorder(0)
-				res, err := RunFast(FastConfig{Topology: g, ScanRate: 2, TickSeconds: 1,
-					MaxSeconds: goldenGraphMaxSeconds, SeedHosts: wc.seedHosts, Seed: 4242,
-					Workers: workers, Trace: rec})
-				checkGraphGolden(t, res, err, rec, wc.fast)
-			})
+			for _, telemetry := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/fast-workers%d-noskip=%v", wc.name, workers, telemetry), func(t *testing.T) {
+					rec := trace.NewRecorder(0)
+					cfg := FastConfig{Topology: g, ScanRate: 2, TickSeconds: 1,
+						MaxSeconds: goldenGraphMaxSeconds, SeedHosts: wc.seedHosts, Seed: 4242,
+						Workers: workers, Trace: rec}
+					if telemetry {
+						cfg.Metrics, cfg.Clock = obs.NewRegistry(), &obs.SimClock{}
+					}
+					res, err := RunFast(cfg)
+					checkGraphGolden(t, res, err, rec, wc.fast)
+				})
+			}
 		}
 	}
 }
